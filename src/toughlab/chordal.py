@@ -223,11 +223,15 @@ def is_simplicial(g: Graph, v: int) -> bool:
     return is_clique(g, g.closed(v))
 
 
-def is_simple(g: Graph, v: int) -> bool:
-    """The closed neighborhoods of N[v] form a chain under inclusion."""
+def is_simple(g: Graph, v: int, alive: Optional[int] = None) -> bool:
+    """The closed neighborhoods of N[v] form a chain under inclusion.
+
+    With alive given, the test runs in the subgraph induced by alive.
+    """
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    hoods = [g.closed(x) for x in bits(g.closed(v))]
+    alive = g.full_mask if alive is None else alive
+    hoods = [g.closed(x) & alive for x in bits(g.closed(v) & alive)]
     for a, b in combinations(hoods, 2):
         if a & ~b and b & ~a:
             return False

@@ -43,14 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_jobs(value: str | int, source: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {value!r}")
+    return jobs
+
+
 def _default_jobs() -> int:
     env = os.environ.get("TOUGHLAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return _positive_jobs(env, "TOUGHLAB_JOBS") if env else os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -178,9 +183,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_scan(args) -> int:
     if not 1 <= args.max_n <= SCAN_MAX_N:
         raise _UsageError(f"--max-n must be 1..{SCAN_MAX_N}")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
+    jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
     report = scan_conjecture(args.max_n, args.class_filter, jobs=jobs)
     if args.out:
         emit_report(report, args.fmt, args.out)

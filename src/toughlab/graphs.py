@@ -10,14 +10,12 @@ isomorphism rejection, and exhaustive enumeration of small graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
 GRAPH6_MAX_VERTICES = 62  # short form: length byte 63+n must stay below '~' (126)
 CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_VERTICES = 9
-_EDGE_SWEEP_MAX = 6  # above this, enumeration augments (n-1)-vertex representatives
 
 
 class GraphError(ValueError):
@@ -153,6 +151,17 @@ def components(g: Graph, removed: int = 0) -> list[int]:
         out.append(comp)
         remaining &= ~comp
     return out
+
+
+def separates(comps: list[int], u: int, v: int) -> bool:
+    """Whether u and v lie in different ones of the given components.
+
+    False when no component holds u, that is, when u was removed.
+    """
+    for comp in comps:
+        if comp >> u & 1:
+            return not comp >> v & 1
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +369,33 @@ def _augment(parent: Graph, neighborhood: int) -> Graph:
     return Graph(n, rows)
 
 
+def _augmented_reps(n: int, smaller: Callable[[int], tuple[Graph, ...]],
+                    neighborhoods: Callable[[Graph], Iterable[int]]) -> tuple[Graph, ...]:
+    """Grow each representative on n-1 vertices by one vertex over each of
+    its candidate neighborhoods; keep one canonical copy per class, sorted by
+    canonical graph6 key so enumeration order is reproducible."""
+    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
+        raise GraphError(f"enumeration limited to 1..{ENUMERATION_MAX_VERTICES} vertices")
+    if n == 1:
+        return (Graph(1, (0,)),)
+    seen: dict[str, Graph] = {}
+    for parent in smaller(n - 1):
+        for neighborhood in neighborhoods(parent):
+            can = canonical_graph(_augment(parent, neighborhood))
+            seen.setdefault(to_graph6(can), can)
+    return tuple(seen[k] for k in sorted(seen))
+
+
 @lru_cache(maxsize=None)
 def graph_reps(n: int) -> tuple[Graph, ...]:
     """One canonically labeled representative per isomorphism class.
 
-    Edge-mask sweep up to 6 vertices, vertex augmentation above; output
-    sorted by canonical graph6 key so enumeration order is reproducible.
+    Deleting any vertex of a graph on n >= 2 vertices leaves a graph on n-1
+    vertices, so augmenting every (n-1)-vertex representative over all
+    neighborhood masks reaches every class. Output is sorted by canonical
+    graph6 key.
     """
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise GraphError(f"enumeration limited to 1..{ENUMERATION_MAX_VERTICES} vertices")
-    seen: dict[str, Graph] = {}
-    if n <= _EDGE_SWEEP_MAX:
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            rows = [0] * n
-            m = mask
-            while m:
-                low = m & -m
-                u, v = pairs[low.bit_length() - 1]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                m ^= low
-            can = canonical_graph(Graph(n, rows))
-            seen.setdefault(to_graph6(can), can)
-    else:
-        for parent in graph_reps(n - 1):
-            for neighborhood in range(1 << (n - 1)):
-                can = canonical_graph(_augment(parent, neighborhood))
-                seen.setdefault(to_graph6(can), can)
-    return tuple(seen[k] for k in sorted(seen))
+    return _augmented_reps(n, graph_reps, lambda parent: range(1 << parent.n))
 
 
 def clique_masks(g: Graph) -> list[int]:
@@ -414,18 +421,8 @@ def connected_chordal_reps(n: int) -> tuple[Graph, ...]:
     a nonempty clique (reverse perfect elimination), so growing over all
     nonempty clique masks and deduplicating is exhaustive.
     """
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise GraphError(f"enumeration limited to 1..{ENUMERATION_MAX_VERTICES} vertices")
-    if n == 1:
-        return (Graph(1, (0,)),)
-    seen: dict[str, Graph] = {}
-    for parent in connected_chordal_reps(n - 1):
-        for clique in clique_masks(parent):
-            if clique == 0:
-                continue
-            can = canonical_graph(_augment(parent, clique))
-            seen.setdefault(to_graph6(can), can)
-    return tuple(seen[k] for k in sorted(seen))
+    return _augmented_reps(n, connected_chordal_reps,
+                           lambda parent: clique_masks(parent)[1:])  # [0] is empty
 
 
 def enumerate_graphs(n: int,

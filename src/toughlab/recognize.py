@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .chordal import is_chordal, is_simple, maximal_cliques
-from .graphs import Graph, GraphError, bits, components
+from .graphs import Graph, GraphError, bits, components, separates
 
 
 @dataclass(frozen=True)
@@ -129,20 +129,12 @@ def _greedy_simple_elimination(g: Graph) -> bool:
     while alive:
         victim = -1
         for v in bits(alive):
-            if _is_simple_within(g, v, alive):
+            if is_simple(g, v, alive):
                 victim = v
                 break
         if victim < 0:
             return False
         alive ^= 1 << victim
-    return True
-
-
-def _is_simple_within(g: Graph, v: int, alive: int) -> bool:
-    hoods = [(g.closed(x) & alive) for x in bits(g.closed(v) & alive)]
-    for a, b in combinations(hoods, 2):
-        if a & ~b and b & ~a:
-            return False
     return True
 
 
@@ -211,17 +203,12 @@ def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:
     for a, b, c in combinations(range(g.n), 3):
         if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
             continue
-        if (_joined_avoiding(g, a, b, c) and _joined_avoiding(g, a, c, b)
-                and _joined_avoiding(g, b, c, a)):
+        # the three are pairwise nonadjacent, so x lies outside N[z] and is
+        # never removed: "not separated" means x and y are joined avoiding N[z]
+        if not any(separates(components(g, g.closed(z)), x, y)
+                   for x, y, z in ((a, b, c), (a, c, b), (b, c, a))):
             return a, b, c
     return None
-
-
-def _joined_avoiding(g: Graph, x: int, y: int, z: int) -> bool:
-    for comp in components(g, g.closed(z)):
-        if comp >> x & 1:
-            return bool(comp >> y & 1)
-    return False
 
 
 def is_interval_like(g: Graph) -> bool:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, components, mask_of
+from .graphs import Graph, GraphError, bits, components, mask_of, separates
 from .rational import INFINITY, ToughnessValue
 
 
@@ -196,13 +196,6 @@ def vertex_connectivity(g: Graph) -> int:
 # Characterization of non-minimally tough graphs
 # ---------------------------------------------------------------------------
 
-def _separates_pair(comps: list[int], u: int, v: int) -> bool:
-    for comp in comps:
-        if comp >> u & 1:
-            return not comp >> v & 1
-    return False  # u was removed; not a u-v separator in our usage
-
-
 def _condition2(g: Graph, u: int, v: int, num: int, den: int,
                 restricted: bool) -> bool:
     """Every separator of G that u-v-separates G-e has |S| >= t*(omega+1).
@@ -217,7 +210,7 @@ def _condition2(g: Graph, u: int, v: int, num: int, den: int,
         if len(comps_g) < 2:
             continue
         comps_ge = components(ge, s)
-        if not _separates_pair(comps_ge, u, v):
+        if not separates(comps_ge, u, v):
             continue
         if restricted:
             spread = all(
@@ -306,6 +299,6 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
             comps_ge = components(ge, mask)
             if len(comps_ge) * num <= size * den:
                 continue  # omega((G-e)-S) > |S|/t fails
-            if _separates_pair(comps_ge, u, v) and not _separates_pair(comps_g, u, v):
+            if separates(comps_ge, u, v) and not separates(comps_g, u, v):
                 return EdgeWitnessSet(edge, mask)
     return None

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .chordal import (
     clique_tree,
@@ -40,6 +40,7 @@ from .graphs import (
     connected_chordal_reps,
     graph_reps,
     parse_graph6,
+    separates,
     to_graph6,
 )
 from .rational import at_most_one, exceeds_half, in_half_one_interval
@@ -272,33 +273,48 @@ def _chordal_upto(n_max):
         yield from connected_chordal_reps(n)
 
 
-def _suite_connectivity_bound(n_max: int):
+def _wheels_upto(n_max):
+    for n in range(5, n_max + 1):
+        yield wheel(n)
+
+
+def _matched_cliques_upto(k_max):
+    for k in range(3, k_max + 1):
+        yield matched_cliques(k)
+
+
+def _any(g: Graph) -> bool:
+    return True
+
+
+def _nontrivial(g: Graph) -> bool:
+    return g.is_connected() and not g.is_complete()
+
+
+def _minimal(g: Graph) -> bool:
+    return is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH
+
+
+def _minimal_above_half(g: Graph) -> bool:
+    if not _nontrivial(g):
+        return False
+    result = is_minimally_tough(g)
+    return result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness)
+
+
+def _check_connectivity_bound(g: Graph):
     """tau <= kappa/2 on connected noncomplete graphs."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        checked += 1
-        t = toughness(g)
-        kappa = vertex_connectivity(g)
-        if 2 * t.numerator > kappa * t.denominator:
-            violations.append((to_graph6(g), f"tau={t} > kappa/2 with kappa={kappa}"))
-    return checked, violations
+    t = toughness(g)
+    kappa = vertex_connectivity(g)
+    if 2 * t.numerator > kappa * t.denominator:
+        yield f"tau={t} > kappa/2 with kappa={kappa}"
 
 
-def _suite_witness_sets(n_max: int):
+def _check_witness_sets(g: Graph):
     """Every edge of every minimally tough graph admits a witness set."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        if is_minimally_tough(g).verdict is not Minimality.MINIMALLY_TOUGH:
-            continue
-        checked += 1
-        for edge in g.edges():
-            if find_edge_witness_set(g, edge) is None:
-                violations.append((to_graph6(g), f"edge {edge} has no witness set"))
-    return checked, violations
+    for edge in g.edges():
+        if find_edge_witness_set(g, edge) is None:
+            yield f"edge {edge} has no witness set"
 
 
 def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
@@ -310,245 +326,126 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     comps = components(g, s)
     if len(comps) < 2:
         return False
-
-    def separated(cut: int, u: int, v: int) -> bool:
-        for comp in components(g, cut):
-            if comp >> u & 1:
-                return not comp >> v & 1
-        return False
-
     outside = [v for v in range(g.n) if not s >> v & 1]
     for u, v in combinations(outside, 2):
-        if not separated(s, u, v):
+        if not separates(comps, u, v):
             continue
-        if all(not separated(s ^ (1 << w), u, v) for w in bits(s)):
+        if all(not separates(components(g, s ^ (1 << w)), u, v) for w in bits(s)):
             return True
     return False
 
 
-def _suite_minseparator(n_max: int):
+def _check_minseparator(g: Graph):
     """S-full characterization agrees with the definitional minimal separator."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        checked += 1
-        for s in range(1 << g.n):
-            if is_minimal_separator(g, s) != _is_minimal_separator_direct(g, s):
-                violations.append(
-                    (to_graph6(g), f"S-full test disagrees on cut mask {s}"))
-    return checked, violations
+    for s in range(1 << g.n):
+        if is_minimal_separator(g, s) != _is_minimal_separator_direct(g, s):
+            yield f"S-full test disagrees on cut mask {s}"
 
 
-def _suite_dirac(n_max: int):
+def _check_dirac(g: Graph):
     """Chordal iff every minimal separator induces a clique."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        checked += 1
-        all_cliques = all(_mask_is_clique(g, s) for s in minimal_separators(g))
-        if is_chordal(g) != all_cliques:
-            violations.append(
-                (to_graph6(g), "chordality and clique-separator test disagree"))
-    return checked, violations
+    all_cliques = all(_mask_is_clique(g, s) for s in minimal_separators(g))
+    if is_chordal(g) != all_cliques:
+        yield "chordality and clique-separator test disagree"
 
 
-def _suite_cliquetree_separators(n_max: int):
+def _check_cliquetree_separators(g: Graph):
     """Clique-tree edge intersections equal the brute-force minimal separators."""
-    checked, violations = 0, []
-    for g in _chordal_upto(n_max):
-        checked += 1
-        via_tree = minimal_separators_via_clique_tree(g, clique_tree(g))
-        if via_tree != minimal_separators(g):
-            violations.append((to_graph6(g), "separator sets differ"))
-    return checked, violations
+    if minimal_separators_via_clique_tree(g, clique_tree(g)) != minimal_separators(g):
+        yield "separator sets differ"
 
 
-def _suite_two_moplexes(n_max: int):
+def _check_two_moplexes(g: Graph):
     """Every noncomplete graph has at least two moplexes."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete():
-            continue
-        checked += 1
-        found = len(moplexes(g))
-        if found < 2:
-            violations.append((to_graph6(g), f"only {found} moplex(es)"))
-    return checked, violations
+    found = len(moplexes(g))
+    if found < 2:
+        yield f"only {found} moplex(es)"
 
 
-def _suite_simple_moplicial(n_max: int):
+def _check_simple_moplicial(g: Graph):
     """Every simple vertex belongs to a moplex."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        checked += 1
-        for v in range(g.n):
-            if is_simple(g, v) and not is_moplicial(g, v):
-                violations.append((to_graph6(g), f"simple vertex {v} not moplicial"))
-    return checked, violations
+    for v in range(g.n):
+        if is_simple(g, v) and not is_moplicial(g, v):
+            yield f"simple vertex {v} not moplicial"
 
 
-def _suite_characterization(n_max: int):
+def _check_characterization(g: Graph):
     """The two-condition edge test agrees with per-edge toughness recomputation."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        checked += 1
-        edge = check_non_minimality_characterization(g)
-        direct = is_minimally_tough(g).verdict is Minimality.NOT_MINIMAL
-        if (edge is not None) != direct:
-            violations.append(
-                (to_graph6(g), f"characterization edge={edge}, direct NotMinimal={direct}"))
-    return checked, violations
+    edge = check_non_minimality_characterization(g)
+    direct = is_minimally_tough(g).verdict is Minimality.NOT_MINIMAL
+    if (edge is not None) != direct:
+        yield f"characterization edge={edge}, direct NotMinimal={direct}"
 
 
-def _suite_restricted_separators(n_max: int):
+def _check_restricted_separators(g: Graph):
     """Restricted and unrestricted separator conditions agree on every edge."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        checked += 1
-        for edge in g.edges():
-            restricted, unrestricted = check_condition2_restricted(g, edge)
-            if restricted != unrestricted:
-                violations.append(
-                    (to_graph6(g),
-                     f"edge {edge}: restricted={restricted} unrestricted={unrestricted}"))
-    return checked, violations
+    for edge in g.edges():
+        restricted, unrestricted = check_condition2_restricted(g, edge)
+        if restricted != unrestricted:
+            yield f"edge {edge}: restricted={restricted} unrestricted={unrestricted}"
 
 
-def _suite_sufficient(n_max: int):
+def _check_sufficient(g: Graph):
     """The common-neighbor hypothesis at t = tau implies not minimally tough."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        checked += 1
-        t = toughness(g)
-        edge = check_sufficient_condition(g, t)
-        if edge is not None:
-            if is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH:
-                violations.append(
-                    (to_graph6(g), f"edge {edge} satisfies the hypothesis yet minimal"))
-    return checked, violations
+    edge = check_sufficient_condition(g, toughness(g))
+    if edge is not None and _minimal(g):
+        yield f"edge {edge} satisfies the hypothesis yet minimal"
 
 
-def _suite_chordal_interval(n_max: int):
+def _check_chordal_interval(g: Graph):
     """No minimally tough graph with tau in (1/2,1] is hole-free (= chordal)."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        checked += 1
-        result = is_minimally_tough(g)
-        if result.verdict is Minimality.MINIMALLY_TOUGH and in_half_one_interval(result.toughness):
-            if find_hole(g) is None:
-                violations.append(
-                    (to_graph6(g),
-                     f"minimally {result.toughness}-tough chordal graph in (1/2,1]"))
-    return checked, violations
+    result = is_minimally_tough(g)
+    if result.verdict is Minimality.MINIMALLY_TOUGH and in_half_one_interval(result.toughness):
+        if find_hole(g) is None:
+            yield f"minimally {result.toughness}-tough chordal graph in (1/2,1]"
 
 
-def _suite_moplicial_neighbors(n_max: int):
+def _check_moplicial_neighbors(g: Graph):
     """A chordal graph whose moplicial vertex has a maximum neighbor or
     maximum neighboring edge is not minimally tough once tau > 1/2."""
-    checked, violations = 0, []
-    for g in _chordal_upto(n_max):
-        if g.is_complete():
-            continue
-        checked += 1
-        result = is_minimally_tough(g)
-        if result.verdict is not Minimality.MINIMALLY_TOUGH:
-            continue
-        if not exceeds_half(result.toughness):
-            continue
-        for moplex in moplexes(g):
-            for v in bits(moplex):
-                if maximum_neighbor(g, v) is not None or \
-                        maximum_neighboring_edge(g, v) is not None:
-                    violations.append(
-                        (to_graph6(g),
-                         f"minimally tough, moplicial vertex {v} has a maximum "
-                         f"neighbor or neighboring edge"))
-    return checked, violations
+    result = is_minimally_tough(g)
+    if result.verdict is not Minimality.MINIMALLY_TOUGH or not exceeds_half(result.toughness):
+        return
+    for moplex in moplexes(g):
+        for v in bits(moplex):
+            if maximum_neighbor(g, v) is not None or \
+                    maximum_neighboring_edge(g, v) is not None:
+                yield (f"minimally tough, moplicial vertex {v} has a maximum "
+                       f"neighbor or neighboring edge")
 
 
-def _suite_strongly_chordal(n_max: int):
+def _minimal_beyond(g: Graph, exceeds: Callable[[Fraction], bool], kind: str):
+    result = is_minimally_tough(g)
+    if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds(result.toughness):
+        yield f"{kind}, minimally {result.toughness}-tough"
+
+
+def _check_strongly_chordal(g: Graph):
     """No minimally tough strongly chordal graph with tau > 1/2."""
-    checked, violations = 0, []
-    for g in _chordal_upto(n_max):
-        if g.is_complete() or not is_strongly_chordal(g).member:
-            continue
-        checked += 1
-        result = is_minimally_tough(g)
-        if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness):
-            violations.append(
-                (to_graph6(g), f"strongly chordal, minimally {result.toughness}-tough"))
-    return checked, violations
+    return _minimal_beyond(g, exceeds_half, "strongly chordal")
 
 
-def _suite_split(n_max: int):
+def _check_split(g: Graph):
     """No minimally tough split graph with tau > 1/2."""
-    checked, violations = 0, []
-    for g in _chordal_upto(n_max):
-        if g.is_complete() or not is_split(g).member:
-            continue
-        checked += 1
-        result = is_minimally_tough(g)
-        if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness):
-            violations.append(
-                (to_graph6(g), f"split, minimally {result.toughness}-tough"))
-    return checked, violations
+    return _minimal_beyond(g, exceeds_half, "split")
 
 
-def _suite_universal(n_max: int):
+def _check_universal(g: Graph):
     """No minimally tough chordal graph with a universal vertex and tau > 1."""
-    checked, violations = 0, []
-    for g in _chordal_upto(n_max):
-        if g.is_complete() or not universal_vertices(g):
-            continue
-        checked += 1
-        result = is_minimally_tough(g)
-        if result.verdict is Minimality.MINIMALLY_TOUGH and \
-                not at_most_one(result.toughness):
-            violations.append(
-                (to_graph6(g),
-                 f"universal vertex, chordal, minimally {result.toughness}-tough"))
-    return checked, violations
+    return _minimal_beyond(g, lambda t: not at_most_one(t), "universal vertex, chordal")
 
 
-def _suite_sun_or_hole(n_max: int):
+def _check_sun_or_hole(g: Graph):
     """Every minimally tough graph with tau > 1/2 has a hole or induced sun."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        result = is_minimally_tough(g)
-        if result.verdict is not Minimality.MINIMALLY_TOUGH:
-            continue
-        if not exceeds_half(result.toughness):
-            continue
-        checked += 1
-        if find_hole(g) is None:
-            if g.n < 6 or find_induced_sun(g, g.n // 2) is None:
-                violations.append((to_graph6(g), "neither hole nor sun present"))
-    return checked, violations
+    if find_hole(g) is None:
+        if g.n < 6 or find_induced_sun(g, g.n // 2) is None:
+            yield "neither hole nor sun present"
 
 
-def _suite_split_obstructions(n_max: int):
+def _check_split_obstructions(g: Graph):
     """Every minimally tough graph with tau > 1/2 has an induced C4, C5, or 2K2."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected():
-            continue
-        result = is_minimally_tough(g)
-        if result.verdict is not Minimality.MINIMALLY_TOUGH:
-            continue
-        if not exceeds_half(result.toughness):
-            continue
-        checked += 1
-        if find_split_obstruction(g) is None:
-            violations.append((to_graph6(g), "no induced C4, C5, or 2K2"))
-    return checked, violations
+    if find_split_obstruction(g) is None:
+        yield "no induced C4, C5, or 2K2"
 
 
 def _is_star(g: Graph) -> bool:
@@ -556,84 +453,85 @@ def _is_star(g: Graph) -> bool:
     return g.n >= 3 and degrees == [1] * (g.n - 1) + [g.n - 1]
 
 
-def _suite_stars(n_max: int):
+def _check_stars(g: Graph):
     """With a universal vertex and finite tau <= 1, minimally tough means star."""
-    checked, violations = 0, []
-    for g in _graphs_upto(n_max):
-        if g.is_complete() or not g.is_connected() or not universal_vertices(g):
-            continue
-        t = toughness(g)
-        if not at_most_one(t):
-            continue
-        checked += 1
-        minimal = is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH
-        star_shaped = _is_star(g)
-        if minimal != star_shaped:
-            violations.append(
-                (to_graph6(g), f"minimally tough={minimal} but star={star_shaped}"))
-        elif star_shaped and t != Fraction(1, g.n - 1):
-            violations.append(
-                (to_graph6(g), f"star with {g.n - 1} leaves has tau={t}"))
-    return checked, violations
+    t = toughness(g)
+    minimal = _minimal(g)
+    star_shaped = _is_star(g)
+    if minimal != star_shaped:
+        yield f"minimally tough={minimal} but star={star_shaped}"
+    elif star_shaped and t != Fraction(1, g.n - 1):
+        yield f"star with {g.n - 1} leaves has tau={t}"
 
 
-def _suite_family_wheels(n_max: int):
+def _check_wheel(g: Graph):
     """Wheels are minimally tough with tau = (n+1)/(n-1) or n/(n-2)."""
-    checked, violations = 0, []
-    for n in range(5, n_max + 1):
-        checked += 1
-        g = wheel(n)
-        expected = Fraction(n + 1, n - 1) if n % 2 else Fraction(n, n - 2)
-        result = is_minimally_tough(g)
-        if result.toughness != expected:
-            violations.append(
-                (to_graph6(g), f"wheel({n}) tau={result.toughness}, expected {expected}"))
-        elif result.verdict is not Minimality.MINIMALLY_TOUGH:
-            violations.append((to_graph6(g), f"wheel({n}) is not minimally tough"))
-    return checked, violations
+    n = g.n
+    expected = Fraction(n + 1, n - 1) if n % 2 else Fraction(n, n - 2)
+    result = is_minimally_tough(g)
+    if result.toughness != expected:
+        yield f"wheel({n}) tau={result.toughness}, expected {expected}"
+    elif result.verdict is not Minimality.MINIMALLY_TOUGH:
+        yield f"wheel({n}) is not minimally tough"
 
 
-def _suite_family_matched_cliques(k_max: int):
+def _check_matched_cliques(g: Graph):
     """Matched cliques are claw-free, k-connected, minimally (k/2)-tough."""
-    checked, violations = 0, []
-    for k in range(3, k_max + 1):
-        checked += 1
-        g = matched_cliques(k)
-        result = is_minimally_tough(g)
-        if result.toughness != Fraction(k, 2):
-            violations.append(
-                (to_graph6(g), f"matched_cliques({k}) tau={result.toughness}"))
-            continue
-        if result.verdict is not Minimality.MINIMALLY_TOUGH:
-            violations.append((to_graph6(g), f"matched_cliques({k}) not minimally tough"))
-        if vertex_connectivity(g) != k:
-            violations.append((to_graph6(g), f"matched_cliques({k}) kappa != {k}"))
-        if find_induced_claw(g) is not None:
-            violations.append((to_graph6(g), f"matched_cliques({k}) has a claw"))
-    return checked, violations
+    k = g.n // 2
+    result = is_minimally_tough(g)
+    if result.toughness != Fraction(k, 2):
+        yield f"matched_cliques({k}) tau={result.toughness}"
+        return
+    if result.verdict is not Minimality.MINIMALLY_TOUGH:
+        yield f"matched_cliques({k}) not minimally tough"
+    if vertex_connectivity(g) != k:
+        yield f"matched_cliques({k}) kappa != {k}"
+    if find_induced_claw(g) is not None:
+        yield f"matched_cliques({k}) has a claw"
 
 
-SUITES: dict[str, tuple[Callable[[int], tuple[int, list]], int]] = {
-    "prop_connectivity_bound": (_suite_connectivity_bound, 7),
-    "prop_witness_sets": (_suite_witness_sets, 6),
-    "prop_minseparator": (_suite_minseparator, 7),
-    "thm_dirac": (_suite_dirac, 7),
-    "prop_cliquetree_separators": (_suite_cliquetree_separators, 8),
-    "thm_two_moplexes": (_suite_two_moplexes, 7),
-    "prop_simple_moplicial": (_suite_simple_moplicial, 7),
-    "thm_characterization": (_suite_characterization, 6),
-    "lemma_restricted_separators": (_suite_restricted_separators, 6),
-    "lemma_sufficient": (_suite_sufficient, 7),
-    "thm_chordal_interval": (_suite_chordal_interval, 7),
-    "lemma_moplicial_neighbors": (_suite_moplicial_neighbors, 7),
-    "thm_strongly_chordal": (_suite_strongly_chordal, 7),
-    "thm_split": (_suite_split, 7),
-    "thm_universal": (_suite_universal, 7),
-    "cor_sun_or_hole": (_suite_sun_or_hole, 7),
-    "cor_split_obstructions": (_suite_split_obstructions, 7),
-    "thm_stars": (_suite_stars, 7),
-    "family_wheels": (_suite_family_wheels, 10),
-    "family_matched_cliques": (_suite_family_matched_cliques, 4),
+# One row per suite: (source, bound, keep, check). source(n_max) yields the
+# graphs, keep(g) decides whether g counts toward graphs_checked, and check(g)
+# yields one detail string per violation. Rows hold module-level functions or
+# lambdas, never a library function such as toughness itself, so that patching
+# a name in this module reaches every suite.
+Suite = tuple[Callable[[int], Iterator[Graph]], int,
+              Callable[[Graph], bool], Callable[[Graph], Iterator[str]]]
+
+SUITES: dict[str, Suite] = {
+    "prop_connectivity_bound": (_graphs_upto, 7, _nontrivial, _check_connectivity_bound),
+    "prop_witness_sets": (_graphs_upto, 6, lambda g: _nontrivial(g) and _minimal(g),
+                          _check_witness_sets),
+    "prop_minseparator": (_graphs_upto, 7, _any, _check_minseparator),
+    "thm_dirac": (_graphs_upto, 7, _any, _check_dirac),
+    "prop_cliquetree_separators": (_chordal_upto, 8, _any, _check_cliquetree_separators),
+    "thm_two_moplexes": (_graphs_upto, 7, lambda g: not g.is_complete(),
+                         _check_two_moplexes),
+    "prop_simple_moplicial": (_graphs_upto, 7, _any, _check_simple_moplicial),
+    "thm_characterization": (_graphs_upto, 6, _nontrivial, _check_characterization),
+    "lemma_restricted_separators": (_graphs_upto, 6, _nontrivial,
+                                    _check_restricted_separators),
+    "lemma_sufficient": (_graphs_upto, 7, _nontrivial, _check_sufficient),
+    "thm_chordal_interval": (_graphs_upto, 7, _nontrivial, _check_chordal_interval),
+    "lemma_moplicial_neighbors": (_chordal_upto, 7, lambda g: not g.is_complete(),
+                                  _check_moplicial_neighbors),
+    "thm_strongly_chordal": (
+        _chordal_upto, 7, lambda g: not g.is_complete() and is_strongly_chordal(g).member,
+        _check_strongly_chordal),
+    "thm_split": (_chordal_upto, 7, lambda g: not g.is_complete() and is_split(g).member,
+                  _check_split),
+    "thm_universal": (_chordal_upto, 7,
+                      lambda g: not g.is_complete() and bool(universal_vertices(g)),
+                      _check_universal),
+    "cor_sun_or_hole": (_graphs_upto, 7, _minimal_above_half, _check_sun_or_hole),
+    "cor_split_obstructions": (_graphs_upto, 7, _minimal_above_half,
+                               _check_split_obstructions),
+    "thm_stars": (_graphs_upto, 7,
+                  lambda g: _nontrivial(g) and bool(universal_vertices(g))
+                  and at_most_one(toughness(g)),
+                  _check_stars),
+    "family_wheels": (_wheels_upto, 10, _any, _check_wheel),
+    "family_matched_cliques": (_matched_cliques_upto, 4, _any, _check_matched_cliques),
 }
 
 
@@ -645,12 +543,16 @@ def run_suite(name: str, n_max: Optional[int] = None) -> CheckReport:
     """Run one registered suite up to n_max (default: the suite's bound)."""
     if name not in SUITES:
         raise GraphError(f"unknown suite {name!r}")
-    func, bound = SUITES[name]
+    source, bound, keep, check = SUITES[name]
     if n_max is None:
         n_max = bound
     if not 1 <= n_max <= bound:
         raise GraphError(f"suite {name} accepts n_max 1..{bound}, got {n_max}")
     start = time.perf_counter()
-    checked, violations = func(n_max)
+    checked, violations = 0, []
+    for g in source(n_max):
+        if keep(g):
+            checked += 1
+            violations.extend((to_graph6(g), detail) for detail in check(g))
     return CheckReport(name, n_max, checked, violations,
                        time.perf_counter() - start)

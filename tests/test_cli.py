@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from toughlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toughlab.families import wheel
 from toughlab.graphs import to_graph6
@@ -134,3 +136,9 @@ class TestJobsEnvironment:
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("TOUGHLAB_JOBS", "1")
         assert main(["scan", "--max-n", "3", "--class", "all"]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_env_exit_64(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOUGHLAB_JOBS", value)
+        assert main(["scan", "--max-n", "3", "--class", "all"]) == EXIT_USAGE
+        assert "TOUGHLAB_JOBS" in capsys.readouterr().err

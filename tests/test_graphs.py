@@ -285,11 +285,12 @@ class TestEnumeration:
             graph_reps(10)
 
     def test_sweep_and_augmentation_agree_at_6(self):
-        # production uses the edge-mask sweep at n=6; growing the n=5 reps by
-        # one vertex over every neighborhood must land on the same key set
-        from toughlab.graphs import _augment
-        grown = set()
-        for parent in graph_reps(5):
-            for neighborhood in range(1 << 5):
-                grown.add(to_graph6(canonical_graph(_augment(parent, neighborhood))))
-        assert grown == {to_graph6(g) for g in graph_reps(6)}
+        # oracle: canonicalize every labeled graph (each edge mask), dedupe by
+        # canonical key and sort; augmentation must give the same tuple
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            swept = {}
+            for mask in range(1 << len(pairs)):
+                can = canonical_graph(from_edges(n, [pairs[i] for i in bits(mask)]))
+                swept.setdefault(to_graph6(can), can)
+            assert graph_reps(n) == tuple(swept[k] for k in sorted(swept))

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from toughlab.chordal import is_chordal
+from toughlab.chordal import is_chordal, is_simple
 from toughlab.families import complete, cycle, k_sun, path, star, wheel
 from toughlab.graphs import GraphError, bits, from_edges, graph_reps, mask_of
 from toughlab.recognize import (
@@ -107,13 +107,11 @@ class TestFindSun:
 
 def greedy_outcomes(g):
     """All outcomes of simple-vertex elimination over every deletion order."""
-    from toughlab.recognize import _is_simple_within
-
     @lru_cache(maxsize=None)
     def explore(alive):
         if alive == 0:
             return {True}
-        options = [v for v in bits(alive) if _is_simple_within(g, v, alive)]
+        options = [v for v in bits(alive) if is_simple(g, v, alive)]
         if not options:
             return {False}
         out = set()

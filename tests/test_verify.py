@@ -43,10 +43,32 @@ class TestRunSuite:
         assert report.passed
 
     def test_every_suite_passes_at_5(self):
+        checked = {
+            "prop_connectivity_bound": 26, "prop_witness_sets": 10,
+            "prop_minseparator": 52, "thm_dirac": 52,
+            "prop_cliquetree_separators": 24, "thm_two_moplexes": 47,
+            "prop_simple_moplicial": 52, "thm_characterization": 26,
+            "lemma_restricted_separators": 26, "lemma_sufficient": 26,
+            "thm_chordal_interval": 26, "lemma_moplicial_neighbors": 19,
+            "thm_strongly_chordal": 19, "thm_split": 16, "thm_universal": 13,
+            "cor_sun_or_hole": 4, "cor_split_obstructions": 4, "thm_stars": 12,
+            "family_wheels": 1, "family_matched_cliques": 2,
+        }
+        assert list(checked) == suite_names()
         for name in suite_names():
             bound = SUITES[name][1]
             report = run_suite(name, min(5, bound))
             assert report.passed, f"{name}: {report.violations[:3]}"
+            assert report.graphs_checked == checked[name], name
+
+    def test_violation_reported_with_reproducer(self, monkeypatch):
+        # with the obstruction finder broken, every minimally tough graph
+        # with tau > 1/2 up to 6 vertices becomes a violation
+        monkeypatch.setattr("toughlab.verify.find_split_obstruction", lambda g: None)
+        report = run_suite("cor_split_obstructions", 6)
+        assert report.graphs_checked == 9 and not report.passed
+        assert len({g6 for g6, _ in report.violations}) == len(report.violations) == 9
+        assert {d for _, d in report.violations} == {"no induced C4, C5, or 2K2"}
 
     def test_report_fields(self):
         report = run_suite("thm_dirac", 4)
