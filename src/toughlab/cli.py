@@ -14,7 +14,8 @@ from typing import Optional
 
 from .chordal import is_chordal, minimal_separators, moplexes
 from .families import build_family
-from .graphs import Graph, Graph6Error, GraphError, bits, parse_graph6, to_graph6
+from .graphs import (Graph, Graph6Error, GraphError, bits, parse_graph6,
+                     read_graph6_lines, to_graph6)
 from .rational import format_toughness, is_finite
 from .recognize import is_interval_like, is_split, is_strongly_chordal
 from .toughness import Minimality, is_minimally_tough, toughness_witness
@@ -145,16 +146,10 @@ def _gather_graphs(args) -> list[Graph]:
         graphs.append(build_family(spec))
     for item in args.inputs:
         if item == "-":
-            for line in sys.stdin:
-                line = line.strip()
-                if line:
-                    graphs.append(parse_graph6(line))
+            graphs.extend(read_graph6_lines(sys.stdin))
         elif os.path.exists(item):
             with open(item) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        graphs.append(parse_graph6(line))
+                graphs.extend(read_graph6_lines(fh))
         else:
             graphs.append(parse_graph6(item))
     return graphs
@@ -185,10 +180,7 @@ def _cmd_scan(args) -> int:
         raise _UsageError(f"--max-n must be 1..{SCAN_MAX_N}")
     jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
     report = scan_conjecture(args.max_n, args.class_filter, jobs=jobs)
-    if args.out:
-        emit_report(report, args.fmt, args.out)
-    else:
-        emit_report(report, args.fmt, sys.stdout)
+    emit_report(report, args.fmt, args.out or sys.stdout)
     classified = report.classified()
     for g6, tau, severity, detail in classified:
         sys.stderr.write(f"{severity}: {g6} tau={tau} ({detail})\n")

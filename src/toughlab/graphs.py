@@ -41,6 +41,27 @@ def mask_of(vertices) -> int:
     return m
 
 
+def subsets(pool: int, size: int) -> Iterator[int]:
+    """Yield every size-element subset of the mask pool in increasing order.
+
+    Gosper's hack with the carry run through the holes of pool: adding the
+    lowest bit of x to x | ~pool clears the lowest run of x and sets the next
+    free bit of pool; all but one bit of the run return to the bottom of pool.
+    """
+    lowest = [0]  # lowest[i]: the i lowest bits of pool
+    for v in bits(pool):
+        lowest.append(lowest[-1] | 1 << v)
+    if size >= len(lowest):
+        return
+    x = lowest[size]
+    while True:
+        yield x
+        ripple = ((x | ~pool) + (x & -x)) & pool
+        if not ripple:
+            return
+        x = ripple | lowest[size - ripple.bit_count()]
+
+
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency rows."""
 
@@ -251,23 +272,19 @@ def read_graph6_lines(source) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 def _twin_partition(g: Graph) -> tuple[int, ...]:
-    """Class ids under the closure of twin swaps (N(u)-{v} == N(v)-{u})."""
-    n = g.n
-    parent = list(range(n))
+    """Least member of each vertex's twin class (u, v twins: N(u)-{v} == N(v)-{u}).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-    return tuple(find(v) for v in range(n))
+    True twins (N[u] == N[v]) and false twins (N(u) == N(v)) each form
+    classes, and no vertex has both kinds: a true twin u of v lies in
+    N(v) = N(w) for a false twin w of v, putting w in N[u] = N[v], yet w is
+    not adjacent to v. So one of v's two classes is {v} and min picks the other.
+    """
+    first_closed: dict[int, int] = {}
+    first_open: dict[int, int] = {}
+    for v in range(g.n):
+        first_closed.setdefault(g.closed(v), v)
+        first_open.setdefault(g.adj[v], v)
+    return tuple(min(first_closed[g.closed(v)], first_open[g.adj[v]]) for v in range(g.n))
 
 
 def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .chordal import is_chordal, is_simple, maximal_cliques
-from .graphs import Graph, GraphError, bits, components, separates
+from .chordal import is_chordal, is_clique, is_simple, maximal_cliques
+from .graphs import Graph, GraphError, bits, components, separates, subsets
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,11 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
         raise GraphError(f"sun bound {k_max} outside 3..n/2")
     full = g.full_mask
     for k in range(3, k_max + 1):
-        for a_set in combinations(range(g.n), k):
-            a_mask = 0
-            clique = True
-            for x in a_set:
-                a_mask |= 1 << x
-            for x in a_set:
-                if (a_mask & ~g.closed(x)):
-                    clique = False
-                    break
-            if not clique:
+        for a_mask in subsets(full, k):
+            if not is_clique(g, a_mask):
                 continue
-            first = a_set[0]
-            for rest in permutations(a_set[1:]):
+            first, *others = bits(a_mask)
+            for rest in permutations(others):
                 if k > 2 and rest[0] > rest[-1]:
                     continue  # fix reflection
                 a_order = (first, *rest)

@@ -1,10 +1,14 @@
 """Exact toughness, minimal toughness, Menger path counts, and the
 characterization of non-minimally tough graphs.
 
-Toughness is minimized by exhaustive cut enumeration in increasing cut size;
-at size k no ratio below k/(n-k) is possible, which bounds the scan. Every
-threshold comparison (>= 2t+1, >= t*(omega+1), ...) is cross-multiplied in
-integers; no division and no float is ever involved in a decision.
+Every cut search walks one cut size at a time through ``graphs.subsets``,
+the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
+least size. Toughness is minimized in increasing cut size; at size k no
+ratio below k/(n-k) is possible, which bounds the scan. The edge searches
+look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S and
+omega(G-S) = omega((G-e)-S) - 1. Every threshold comparison (>= 2t+1,
+>= t*(omega+1), ...) is cross-multiplied in integers; no division and no
+float is ever involved in a decision.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, components, mask_of, separates
+from .graphs import Graph, GraphError, bits, components, separates, subsets
 from .rational import INFINITY, ToughnessValue
 
 
@@ -52,16 +55,6 @@ class MinimalityResult:
     witness_edge: Optional[tuple[int, int]] = None
 
 
-def _submasks(mask: int):
-    """All submasks of mask, the empty set included."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitness]]:
     """Exact toughness with a minimizing cut (None for complete graphs)."""
     if g.is_complete():
@@ -76,15 +69,14 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitne
         # even omega = n - size cannot beat the current best at this size
         if best is not None and Fraction(size, n - size) >= best:
             break
-        for cut in combinations(range(n), size):
-            mask = mask_of(cut)
-            parts = len(components(g, mask))
+        for cut in subsets(g.full_mask, size):
+            parts = len(components(g, cut))
             if parts < 2:
                 continue
             ratio = Fraction(size, parts)
             if best is None or ratio < best:
                 best = ratio
-                witness = ToughnessWitness(mask, parts, ratio)
+                witness = ToughnessWitness(cut, parts, ratio)
     assert best is not None  # connected noncomplete graphs always disconnect
     return best, witness
 
@@ -205,22 +197,18 @@ def _condition2(g: Graph, u: int, v: int, num: int, den: int,
     """
     ge = g.without_edge(u, v)
     others = g.full_mask & ~(1 << u) & ~(1 << v)
-    for s in _submasks(others):
-        comps_g = components(g, s)
-        if len(comps_g) < 2:
-            continue
-        comps_ge = components(ge, s)
-        if not separates(comps_ge, u, v):
-            continue
-        if restricted:
-            spread = all(
-                sum(1 for comp in comps_ge if g.adj[w] & comp) >= 2
-                for w in bits(s)
-            )
-            if not spread:
+    for size in range(others.bit_count() + 1):
+        for s in subsets(others, size):
+            comps_ge = components(ge, s)
+            # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps_ge) - 1,
+            # and S separates G exactly when comps_ge has three parts or more
+            if len(comps_ge) < 3 or not separates(comps_ge, u, v):
                 continue
-        if s.bit_count() * den < num * (len(comps_g) + 1):
-            return False
+            if restricted and not all(
+                    sum(1 for comp in comps_ge if g.adj[w] & comp) >= 2 for w in bits(s)):
+                continue
+            if size * den < num * len(comps_ge):
+                return False
     return True
 
 
@@ -277,7 +265,8 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
     """Witness cut S(e): omega(G-S) <= |S|/t < omega((G-e)-S) and e bridges G-S.
 
     Bridges get the empty cut. The search runs over cuts avoiding the edge
-    ends in increasing size, so the reported witness is size-minimal.
+    ends in increasing size, so the reported witness is size-minimal, and the
+    least mask of its size.
     """
     u, v = edge
     if not g.has_edge(u, v):
@@ -289,16 +278,11 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
         return EdgeWitnessSet(edge, 0)
     t = toughness(g)
     num, den = t.numerator, t.denominator
-    others = [w for w in range(g.n) if w != u and w != v]
-    for size in range(1, len(others) + 1):
-        for cut in combinations(others, size):
-            mask = mask_of(cut)
-            comps_g = components(g, mask)
-            if len(comps_g) * num > size * den:
-                continue  # omega(G-S) <= |S|/t fails
-            comps_ge = components(ge, mask)
-            if len(comps_ge) * num <= size * den:
-                continue  # omega((G-e)-S) > |S|/t fails
-            if separates(comps_ge, u, v) and not separates(comps_g, u, v):
-                return EdgeWitnessSet(edge, mask)
+    others = g.full_mask & ~(1 << u) & ~(1 << v)
+    for size in range(1, others.bit_count() + 1):
+        for cut in subsets(others, size):
+            comps_ge = components(ge, cut)
+            parts = len(comps_ge)  # omega(G-S) + 1 when u, v are apart: e bridges G-S
+            if separates(comps_ge, u, v) and (parts - 1) * num <= size * den < parts * num:
+                return EdgeWitnessSet(edge, cut)
     return None

@@ -46,7 +46,7 @@ class TestAnalyze:
 
     def test_batch_stdin(self, capsys, monkeypatch):
         import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nCr\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\nCr\r\n"))
         assert main(["analyze", "--json", "-"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2

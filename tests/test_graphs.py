@@ -22,8 +22,10 @@ from toughlab.graphs import (
     mask_of,
     parse_graph6,
     relabel,
+    subsets,
     to_graph6,
 )
+from toughlab.graphs import _twin_partition
 
 
 def brute_isomorphic(g, h):
@@ -38,15 +40,36 @@ def brute_isomorphic(g, h):
     return False
 
 
+def labeled_graphs(n):
+    """Every labeled graph on n vertices, one per edge mask."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [pairs[i] for i in bits(mask)])
+
+
 def sweep_classes(n):
     """Oracle: all edge masks grouped into isomorphism classes by brute force."""
-    pairs = list(combinations(range(n), 2))
     reps = []
-    for mask in range(1 << len(pairs)):
-        g = from_edges(n, [pairs[i] for i in bits(mask)])
+    for g in labeled_graphs(n):
         if not any(brute_isomorphic(g, r) for r in reps):
             reps.append(g)
     return reps
+
+
+def twin_closure(g):
+    """Oracle: union-find closure of twin swaps (N(u)-{v} == N(v)-{u}),
+    each vertex named by the least member of its class."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in combinations(range(g.n), 2):
+        if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+            parent[max(find(u), find(v))] = min(find(u), find(v))
+    return tuple(find(v) for v in range(g.n))
 
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -203,6 +226,15 @@ class TestComponents:
             assert g.is_connected() == (len(components(g)) == 1)
 
 
+class TestSubsets:
+    @pytest.mark.parametrize("pool", [0, 0b1, 0b1011, 0b110100, 0b1111111, 0b1010010110])
+    def test_matches_combinations_in_mask_order(self, pool):
+        # size 0 yields the empty set once, sizes above popcount(pool) nothing
+        for size in range(pool.bit_count() + 2):
+            expected = sorted(mask_of(c) for c in combinations(bits(pool), size))
+            assert list(subsets(pool, size)) == expected
+
+
 class TestCanonical:
     def test_relabeled_path_equal_keys(self):
         other = from_edges(4, [(1, 3), (3, 0), (0, 2)])  # path 1-3-0-2
@@ -230,6 +262,11 @@ class TestCanonical:
             order = list(range(g.n))
             rng.shuffle(order)
             assert canonical_form(relabel(g, order)) == canonical_form(g)
+
+    def test_twin_partition_matches_closure_up_to_6(self):
+        for n in range(1, 7):
+            for g in labeled_graphs(n):
+                assert _twin_partition(g) == twin_closure(g), g
 
     def test_canonical_graph_is_isomorphic_to_input(self):
         for g in graph_reps(5)[::5]:
@@ -288,9 +325,8 @@ class TestEnumeration:
         # oracle: canonicalize every labeled graph (each edge mask), dedupe by
         # canonical key and sort; augmentation must give the same tuple
         for n in range(1, 7):
-            pairs = list(combinations(range(n), 2))
             swept = {}
-            for mask in range(1 << len(pairs)):
-                can = canonical_graph(from_edges(n, [pairs[i] for i in bits(mask)]))
+            for g in labeled_graphs(n):
+                can = canonical_graph(g)
                 swept.setdefault(to_graph6(can), can)
             assert graph_reps(n) == tuple(swept[k] for k in sorted(swept))

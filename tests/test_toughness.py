@@ -120,12 +120,13 @@ class TestToughness:
             parts = len(components(g, witness.cut))
             assert parts == witness.parts >= 2
             assert Fraction(witness.cut.bit_count(), parts) == witness.value == value
-            # no strictly smaller cut achieves a smaller ratio
-            for s in range(1 << g.n):
-                if s.bit_count() < witness.cut.bit_count():
-                    p = len(components(g, s))
-                    if p >= 2:
-                        assert Fraction(s.bit_count(), p) >= value
+            ratios = {s: Fraction(s.bit_count(), p) for s in range(1 << g.n)
+                      if (p := len(components(g, s))) >= 2}
+            assert min(ratios.values()) == value
+            # the reported cut is the least mask among the minimizing cuts of
+            # least size
+            minimizers = [s for s, ratio in ratios.items() if ratio == value]
+            assert witness.cut == min(minimizers, key=lambda s: (s.bit_count(), s))
 
     def test_monotone_under_edge_deletion(self):
         for g in graph_reps(6):
@@ -268,6 +269,29 @@ class TestCondition2Restricted:
                 restricted, unrestricted = check_condition2_restricted(g, edge)
                 assert restricted == unrestricted
 
+    def test_matches_definition_up_to_6(self):
+        # oracle: the condition as stated, on components of G and of G - e
+        for g in _reps_through(6):
+            if g.is_complete() or not g.is_connected():
+                continue
+            t = toughness(g)
+            for u, v in g.edges():
+                ge = g.without_edge(u, v)
+                restricted = unrestricted = True
+                for s in range(1 << g.n):
+                    if s >> u & 1 or s >> v & 1:
+                        continue
+                    w_g = len(components(g, s))
+                    comps_ge = components(ge, s)
+                    if w_g < 2 or any(c >> u & 1 and c >> v & 1 for c in comps_ge):
+                        continue  # S does not separate G, or not u from v in G - e
+                    if s.bit_count() * t.denominator >= t.numerator * (w_g + 1):
+                        continue
+                    unrestricted = False
+                    if all(sum(1 for c in comps_ge if g.adj[w] & c) >= 2 for w in bits(s)):
+                        restricted = False
+                assert check_condition2_restricted(g, (u, v)) == (restricted, unrestricted)
+
 
 class TestSufficientCondition:
     def test_k4_at_one(self):
@@ -313,18 +337,30 @@ class TestEdgeWitnessSets:
         assert witness is not None and witness.cut == mask_of([2])
 
     def test_witness_conditions_validate(self):
-        for g in graph_reps(5):
+        for g in _reps_through(6):
             if g.is_complete() or not g.is_connected():
                 continue
             t = toughness(g)
             for edge in g.edges():
                 witness = find_edge_witness_set(g, edge)
+                u, v = edge
+                ge = g.without_edge(u, v)
+                # every nonempty witness cut, by the definition on G and G - e
+                found = []
+                for s in range(1, 1 << g.n):
+                    if s >> u & 1 or s >> v & 1:
+                        continue
+                    w_g = len(components(g, s))
+                    w_ge = len(components(ge, s))
+                    if (w_g * t.numerator <= s.bit_count() * t.denominator
+                            < w_ge * t.numerator):
+                        found.append(s)
                 if witness is None:
+                    assert ge.is_connected() and not found
                     continue
-                u, v = witness.edge
+                assert witness.edge == edge
                 s = witness.cut
                 assert not s >> u & 1 and not s >> v & 1
-                ge = g.without_edge(u, v)
                 if s == 0:
                     assert not ge.is_connected()
                     continue
@@ -333,6 +369,8 @@ class TestEdgeWitnessSets:
                 assert w_g * t.numerator <= s.bit_count() * t.denominator
                 assert w_ge * t.numerator > s.bit_count() * t.denominator
                 assert w_ge == w_g + 1
+                # least mask among the size-minimal witnesses
+                assert s == min(found, key=lambda c: (c.bit_count(), c))
 
     def test_every_edge_of_minimally_tough_graph_has_witness(self):
         for g in graph_reps(6):
