@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .chordal import is_chordal, minimal_separators, moplexes
@@ -148,8 +149,12 @@ def _gather_graphs(args) -> list[Graph]:
         if item == "-":
             graphs.extend(read_graph6_lines(sys.stdin))
         elif os.path.exists(item):
-            with open(item) as fh:
-                graphs.extend(read_graph6_lines(fh))
+            try:
+                # undecodable bytes become U+FFFD and fail the ASCII check
+                with open(item, errors="replace") as fh:
+                    graphs.extend(read_graph6_lines(fh))
+            except OSError as exc:
+                raise _UsageError(f"cannot read {item}: {exc.strerror}")
         else:
             graphs.append(parse_graph6(item))
     return graphs
@@ -179,10 +184,14 @@ def _cmd_scan(args) -> int:
     if not 1 <= args.max_n <= SCAN_MAX_N:
         raise _UsageError(f"--max-n must be 1..{SCAN_MAX_N}")
     jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
-    report = scan_conjecture(args.max_n, args.class_filter, jobs=jobs)
-    emit_report(report, args.fmt, args.out or sys.stdout)
-    classified = report.classified()
-    for g6, tau, severity, detail in classified:
+    try:
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}")
+    with out as fh:
+        report = scan_conjecture(args.max_n, args.class_filter, jobs=jobs)
+        emit_report(report, args.fmt, fh)
+    for g6, tau, severity, detail in report.classified:
         sys.stderr.write(f"{severity}: {g6} tau={tau} ({detail})\n")
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 

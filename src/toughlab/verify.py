@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -66,7 +69,16 @@ from .toughness import (
 )
 
 SCAN_MAX_N = 9
-SCAN_CLASSES = ("chordal", "strongly_chordal", "split", "interval_like", "all")
+# class filter -> which connected chordal graphs it scans; "all" scans every
+# connected graph instead. The lambdas look each recognizer up when called,
+# so patching a name in this module reaches the filter.
+_CHORDAL_CLASSES: dict[str, Callable[[Graph], bool]] = {
+    "chordal": lambda g: True,
+    "strongly_chordal": lambda g: is_strongly_chordal(g).member,
+    "split": lambda g: is_split(g).member,
+    "interval_like": lambda g: is_interval_like(g),
+}
+SCAN_CLASSES = (*_CHORDAL_CLASSES, "all")
 
 SEVERITY_VIOLATION = "theorem_violation"
 SEVERITY_CANDIDATE = "conjecture_candidate"
@@ -107,12 +119,14 @@ class ScanReport:
     def graphs_checked(self) -> int:
         return sum(self.per_n.values())
 
+    @cached_property
     def classified(self) -> list[tuple[str, Fraction, str, str]]:
+        """Each hit with its severity and detail, classified once."""
         return [(g6, tau, *classify_counterexample(g6, tau))
                 for g6, tau in self.counterexamples]
 
     def theorem_violations(self) -> list[tuple[str, str]]:
-        return [(g6, detail) for g6, tau, severity, detail in self.classified()
+        return [(g6, detail) for g6, tau, severity, detail in self.classified
                 if severity == SEVERITY_VIOLATION]
 
     @property
@@ -136,50 +150,23 @@ class ScanReport:
         }
 
 
-def report_from_json(data: dict) -> "CheckReport | ScanReport":
-    if data.get("suite") == "scan_conjecture" and "counterexamples" in data:
-        return ScanReport(
-            class_filter=data["class_filter"],
-            n_max=data["n_max"],
-            per_n={int(k): v for k, v in data["per_n"].items()},
-            counterexamples=[
-                (c["graph6"], Fraction(c["tau_num"], c["tau_den"]))
-                for c in data["counterexamples"]
-            ],
-            elapsed_s=data["elapsed_s"],
-        )
-    return CheckReport(
-        suite=data["suite"],
-        n_max=data["n_max"],
-        graphs_checked=data["graphs_checked"],
-        violations=[(v["graph6"], v["detail"]) for v in data["violations"]],
-        elapsed_s=data["elapsed_s"],
-    )
-
-
-def emit_report(report, fmt: str = "json", destination=None) -> None:
-    """Serialize a report as JSON or CSV to a path or open file."""
+def emit_report(report, fmt: str, fh) -> None:
+    """Write a report as JSON or CSV to an open text file."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    fh = open(destination, "w", newline="") if own else destination
-    try:
-        if fmt == "json":
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+    if fmt == "json":
+        json.dump(report.to_json_dict(), fh, indent=2)
+        fh.write("\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        if isinstance(report, ScanReport):
+            writer.writerow(["graph6", "num", "den"])
+            for g6, tau in report.counterexamples:
+                writer.writerow([g6, tau.numerator, tau.denominator])
         else:
-            writer = csv.writer(fh, lineterminator="\n")
-            if isinstance(report, ScanReport):
-                writer.writerow(["graph6", "num", "den"])
-                for g6, tau in report.counterexamples:
-                    writer.writerow([g6, tau.numerator, tau.denominator])
-            else:
-                writer.writerow(["graph6", "detail"])
-                for g6, detail in report.violations:
-                    writer.writerow([g6, detail])
-    finally:
-        if own:
-            fh.close()
+            writer.writerow(["graph6", "detail"])
+            for g6, detail in report.violations:
+                writer.writerow([g6, detail])
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +176,14 @@ def emit_report(report, fmt: str = "json", destination=None) -> None:
 def _class_members(n: int, class_filter: str) -> list[Graph]:
     if class_filter == "all":
         return [g for g in graph_reps(n) if g.is_connected()]
-    chordal = connected_chordal_reps(n)
-    if class_filter == "chordal":
-        return list(chordal)
-    if class_filter == "strongly_chordal":
-        return [g for g in chordal if is_strongly_chordal(g).member]
-    if class_filter == "split":
-        return [g for g in chordal if is_split(g).member]
-    if class_filter == "interval_like":
-        return [g for g in chordal if is_interval_like(g)]
-    raise GraphError(f"unknown scan class {class_filter!r}")
+    keep = _CHORDAL_CLASSES[class_filter]
+    return [g for g in connected_chordal_reps(n) if keep(g)]
 
 
-def _scan_worker(g6: str) -> Optional[tuple[str, int, int]]:
-    g = parse_graph6(g6)
-    result = is_minimally_tough(g)
+def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
+    result = is_minimally_tough(parse_graph6(g6))
     if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness):
-        t = result.toughness
-        return g6, t.numerator, t.denominator
+        return g6, result.toughness
     return None
 
 
@@ -243,18 +220,15 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
     start = time.perf_counter()
     per_n: dict[int, int] = {}
     hits: list[tuple[str, Fraction]] = []
-    for n in range(1, n_max + 1):
-        members = _class_members(n, class_filter)
-        per_n[n] = len(members)
-        lines = [to_graph6(g) for g in members]
-        if jobs > 1 and len(lines) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_scan_worker, lines, chunksize=16)
-        else:
-            results = [_scan_worker(g6) for g6 in lines]
-        for found in results:
-            if found is not None:
-                hits.append((found[0], Fraction(found[1], found[2])))
+    # one pool for the whole scan; --jobs 1 stays in this process
+    workers = min(jobs, os.cpu_count() or 1)
+    with multiprocessing.Pool(workers) if jobs > 1 else nullcontext() as pool:
+        scan_map = partial(pool.map, chunksize=16) if pool else map
+        for n in range(1, n_max + 1):
+            members = _class_members(n, class_filter)
+            per_n[n] = len(members)
+            lines = [to_graph6(g) for g in members]
+            hits.extend(filter(None, scan_map(_scan_worker, lines)))
     return ScanReport(class_filter, n_max, per_n, hits,
                       time.perf_counter() - start)
 

@@ -105,6 +105,55 @@ class TestScan:
     def test_bad_jobs_exit_64(self, capsys):
         assert main(["scan", "--max-n", "4", "--jobs", "0"]) == EXIT_USAGE
 
+    def test_each_hit_classified_once(self, capsys, monkeypatch):
+        import toughlab.verify
+        calls = []
+        classify = toughlab.verify.classify_counterexample
+
+        def counted(g6, tau):
+            calls.append(g6)
+            return classify(g6, tau)
+
+        monkeypatch.setattr("toughlab.verify.classify_counterexample", counted)
+        assert main(["scan", "--class", "all", "--max-n", "6", "--jobs", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        hits = [c["graph6"] for c in json.loads(captured.out)["counterexamples"]]
+        assert calls == hits and len(hits) == 9
+        assert len(captured.err.splitlines()) == 9
+
+
+def _undecodable_file(tmp_path):
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"Bw\n\xff\xfe\n")
+    return [str(path)]
+
+
+def _missing_dir_out(tmp_path):
+    return ["--out", str(tmp_path / "no" / "such" / "scan.json")]
+
+
+def _existing_out_refused_max_n(tmp_path):
+    (tmp_path / "keep.json").write_text("untouched\n")
+    return ["--max-n", "12", "--out", str(tmp_path / "keep.json")]
+
+
+@pytest.mark.parametrize("argv, extra, code", [
+    (["analyze"], lambda p: [str(p)], EXIT_USAGE),
+    (["analyze"], _undecodable_file, EXIT_DATA),
+    (["scan", "--max-n", "3", "--jobs", "1"], lambda p: ["--out", str(p)], EXIT_USAGE),
+    (["scan", "--max-n", "3", "--jobs", "1"], _missing_dir_out, EXIT_USAGE),
+    (["scan", "--jobs", "1"], _existing_out_refused_max_n, EXIT_USAGE),
+], ids=["dir-input", "undecodable-input", "out-is-dir", "out-missing-dir",
+        "refused-max-n-keeps-out"])
+def test_refused_inputs_exit_cleanly(tmp_path, capsys, argv, extra, code):
+    argv = argv + extra(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("toughlab: ")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

@@ -1,5 +1,5 @@
-"""Verifier: suite registry behavior, scan classification, and report
-serialization round-trips."""
+"""Verifier: suite registry behavior, the scan's worker pool and
+classification, and report serialization."""
 
 import io
 import json
@@ -18,7 +18,6 @@ from toughlab.verify import (
     SUITES,
     classify_counterexample,
     emit_report,
-    report_from_json,
     run_suite,
     scan_conjecture,
     suite_names,
@@ -118,10 +117,35 @@ class TestScan:
             scan_conjecture(5, "nosuch")
 
     def test_jobs_match_serial(self):
-        serial = scan_conjecture(5, "all", jobs=1)
-        parallel = scan_conjecture(5, "all", jobs=2)
-        assert serial.counterexamples == parallel.counterexamples
-        assert serial.per_n == parallel.per_n
+        serial = scan_conjecture(6, "all", jobs=1).to_json_dict()
+        parallel = scan_conjecture(6, "all", jobs=2).to_json_dict()
+        del serial["elapsed_s"], parallel["elapsed_s"]
+        assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, cpus, sizes", [
+        (1, 8, []), (2, 8, [2]), (100000, 8, [8]), (2, 1, [1])])
+    def test_one_pool_per_scan_at_most_cpu_count(self, monkeypatch, jobs, cpus, sizes):
+        created = []
+
+        class FakePool:
+            """Records its size and maps in this process; starts nothing."""
+            def __init__(self, processes):
+                created.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return list(map(fn, iterable))
+
+        monkeypatch.setattr("toughlab.verify.multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("toughlab.verify.os.cpu_count", lambda: cpus)
+        report = scan_conjecture(6, "all", jobs=jobs)
+        assert created == sizes
+        assert len(report.counterexamples) == 9
 
 
 class TestClassification:
@@ -157,8 +181,7 @@ class TestReports:
         report = run_suite("thm_dirac", 4)
         buf = io.StringIO()
         emit_report(report, "json", buf)
-        parsed = report_from_json(json.loads(buf.getvalue()))
-        assert parsed == report
+        assert json.loads(buf.getvalue()) == report.to_json_dict()
 
     def test_scan_report_json_round_trip(self):
         report = scan_conjecture(5, "all")
@@ -169,7 +192,7 @@ class TestReports:
         assert data["violations"] == []
         assert all(set(c) == {"graph6", "tau_num", "tau_den"}
                    for c in data["counterexamples"])
-        assert report_from_json(data) == report
+        assert data == report.to_json_dict()
 
     def test_json_field_order_stable(self):
         report = run_suite("thm_dirac", 3)
@@ -202,8 +225,9 @@ class TestReports:
     def test_emit_to_path(self, tmp_path):
         report = run_suite("thm_dirac", 3)
         target = tmp_path / "report.json"
-        emit_report(report, "json", target)
-        assert report_from_json(json.loads(target.read_text())) == report
+        with open(target, "w", newline="") as fh:
+            emit_report(report, "json", fh)
+        assert json.loads(target.read_text()) == report.to_json_dict()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
