@@ -6,9 +6,13 @@ the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
 least size. Toughness is minimized in increasing cut size; at size k no
 ratio below k/(n-k) is possible, which bounds the scan. The edge searches
 look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S and
-omega(G-S) = omega((G-e)-S) - 1. Every threshold comparison (>= 2t+1,
->= t*(omega+1), ...) is cross-multiplied in integers; no division and no
-float is ever involved in a decision.
+omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
+deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
+leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
+for such an S stops at the first one, or at size k once k >= t*(n-k).
+Every threshold comparison (>= 2t+1, >= t*(omega+1), ...) is
+cross-multiplied in integers; no division and no float is ever involved in
+a decision.
 """
 
 from __future__ import annotations
@@ -100,14 +104,37 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
 
 @lru_cache(maxsize=1 << 15)
 def is_minimally_tough(g: Graph) -> MinimalityResult:
-    """Does deleting any single edge strictly lower the toughness?"""
+    """Does deleting any single edge strictly lower the toughness?
+
+    With t = num/den = tau(G), deleting uv lowers tau exactly when some cut
+    S avoiding u and v leaves them apart in (G-uv)-S with
+    |S|*den < num*omega((G-uv)-S): a cut of ratio below t cannot already
+    disconnect G that far, so deleting uv must have split one more component
+    off. Cuts are tried in increasing size and the first one settles the
+    edge; S = 0 covers bridges. At size k no cut qualifies once
+    k*den >= num*(n-k), since omega <= n-k. witness_edge is the first edge
+    in ``g.edges()`` order that no cut lowers.
+    """
     if g.is_complete():
         return MinimalityResult(Minimality.COMPLETE, INFINITY)
     if not g.is_connected():
         return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
     t = toughness(g)
+    num, den = t.numerator, t.denominator
+    n = g.n
     for u, v in g.edges():
-        if toughness(g.without_edge(u, v)) == t:
+        ge = g.without_edge(u, v)
+        others = g.full_mask & ~(1 << u) & ~(1 << v)
+        size = 0
+        lowered = False
+        while not lowered and size * den < num * (n - size):
+            for s in subsets(others, size):
+                comps = components(ge, s)
+                if size * den < num * len(comps) and separates(comps, u, v):
+                    lowered = True
+                    break
+            size += 1
+        if not lowered:
             return MinimalityResult(Minimality.NOT_MINIMAL, t, (u, v))
     return MinimalityResult(Minimality.MINIMALLY_TOUGH, t)
 

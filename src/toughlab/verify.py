@@ -309,6 +309,19 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     return False
 
 
+def _not_minimal_by_recomputation(g: Graph) -> Optional[tuple[int, int]]:
+    """Definitional oracle: the first edge whose deletion keeps the toughness.
+
+    Recomputes tau(G - e) for every edge of a connected noncomplete g; None
+    when every deletion lowers it.
+    """
+    t = toughness(g)
+    for u, v in g.edges():
+        if toughness(g.without_edge(u, v)) == t:
+            return u, v
+    return None
+
+
 def _check_minseparator(g: Graph):
     """S-full characterization agrees with the definitional minimal separator."""
     for s in range(1 << g.n):
@@ -346,7 +359,7 @@ def _check_simple_moplicial(g: Graph):
 def _check_characterization(g: Graph):
     """The two-condition edge test agrees with per-edge toughness recomputation."""
     edge = check_non_minimality_characterization(g)
-    direct = is_minimally_tough(g).verdict is Minimality.NOT_MINIMAL
+    direct = _not_minimal_by_recomputation(g) is not None
     if (edge is not None) != direct:
         yield f"characterization edge={edge}, direct NotMinimal={direct}"
 

@@ -145,3 +145,13 @@ def test_12_graph6_conformance():
             count += 1
     assert count == 1252
     _report(12, "graph6 round-trip on all classes n<=7 and Bw = K3", started)
+
+
+def test_13_wheel16_minimality_budget():
+    started = time.perf_counter()
+    result = is_minimally_tough(wheel(16))
+    assert result.verdict is Minimality.MINIMALLY_TOUGH
+    assert result.toughness == Fraction(8, 7)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"budget exceeded: {elapsed:.1f}s"
+    _report(13, "wheel(16) minimally 8/7-tough within 2 s", started)

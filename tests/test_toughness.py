@@ -1,23 +1,31 @@
 """Toughness engine: exact values against a full-scan oracle, Menger counts
-against a path-packing oracle, and the characterization machinery."""
+against a path-packing oracle, minimality against per-edge recomputation,
+the characterization machinery, and properties on random graphs."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
     bits,
     components,
+    connected_chordal_reps,
     from_edges,
     graph_reps,
     mask_of,
+    parse_graph6,
+    relabel,
+    to_graph6,
 )
 from toughlab.rational import INFINITY
 from toughlab.toughness import (
     Minimality,
+    MinimalityResult,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,
@@ -29,6 +37,7 @@ from toughlab.toughness import (
     toughness_witness,
     vertex_connectivity,
 )
+from toughlab.verify import _not_minimal_by_recomputation
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 
@@ -50,6 +59,17 @@ def toughness_oracle(g):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def recomputed_minimality(g):
+    """MinimalityResult from recomputing tau(G - e) for every edge."""
+    if g.is_complete():
+        return MinimalityResult(Minimality.COMPLETE, INFINITY)
+    if not g.is_connected():
+        return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
+    edge = _not_minimal_by_recomputation(g)
+    verdict = Minimality.MINIMALLY_TOUGH if edge is None else Minimality.NOT_MINIMAL
+    return MinimalityResult(verdict, toughness(g), edge)
 
 
 def all_simple_paths(g, u, v):
@@ -194,6 +214,20 @@ class TestMinimallyTough:
                 kept = g.without_edge(*result.witness_edge)
                 assert toughness(kept) == result.toughness
 
+    def test_matches_recomputation(self):
+        # verdict, tau and witness_edge all agree with per-edge recomputation
+        graphs = list(_reps_through(7)) + list(connected_chordal_reps(8))
+        graphs += [wheel(n) for n in range(5, 13)]
+        graphs += [matched_cliques(k) for k in range(3, 6)]
+        graphs += [star(leaves) for leaves in range(2, 9)]
+        graphs += [k_sun(k) for k in (3, 4)]
+        verdicts = set()
+        for g in graphs:
+            result = is_minimally_tough(g)
+            assert result == recomputed_minimality(g), g
+            verdicts.add(result.verdict)
+        assert verdicts == set(Minimality)
+
 
 class TestDisjointPaths:
     def test_k4_adjacent(self):
@@ -240,8 +274,8 @@ class TestCharacterization:
             if g.is_complete() or not g.is_connected():
                 continue
             edge = check_non_minimality_characterization(g)
-            direct = is_minimally_tough(g).verdict is Minimality.NOT_MINIMAL
-            assert (edge is not None) == direct
+            direct = _not_minimal_by_recomputation(g)
+            assert (edge is None) == (direct is None)
 
 
 class TestCondition2Restricted:
@@ -417,3 +451,59 @@ class TestFamilyValues:
         for n in range(5, 9):
             expected = Fraction(n + 1, n - 1) if n % 2 else Fraction(n, n - 2)
             assert toughness(wheel(n)) == expected
+
+
+# Random graphs with at most 9 vertices. Each test is derandomized, with a
+# fixed example budget and no example database, so every run draws the same
+# graphs.
+bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def relabeled_pairs(draw):
+    g = draw(random_graphs())
+    return g, relabel(g, draw(st.permutations(range(g.n))))
+
+
+class TestRandomGraphProperties:
+    @bounded
+    @given(random_graphs())
+    def test_edge_deletion_never_raises_toughness(self, g):
+        t = toughness(g)
+        for u, v in g.edges():
+            assert toughness(g.without_edge(u, v)) <= t
+
+    @bounded
+    @given(relabeled_pairs())
+    def test_toughness_and_verdict_survive_relabeling(self, pair):
+        g, h = pair
+        assert toughness(h) == toughness(g)
+        assert is_minimally_tough(h).verdict is is_minimally_tough(g).verdict
+
+    @bounded
+    @given(random_graphs())
+    def test_witness_cut_revalidates(self, g):
+        value, witness = toughness_witness(g)
+        if witness is None:
+            assert g.is_complete() and value is INFINITY
+            return
+        assert witness.parts == len(components(g, witness.cut)) >= 2
+        assert Fraction(witness.cut.bit_count(), witness.parts) == witness.value == value
+
+    @bounded
+    @given(random_graphs())
+    def test_targeted_minimality_matches_recomputation(self, g):
+        assert is_minimally_tough(g) == recomputed_minimality(g)
+
+    @bounded
+    @given(random_graphs())
+    def test_graph6_round_trip(self, g):
+        assert parse_graph6(to_graph6(g)) == g
