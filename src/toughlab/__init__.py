@@ -33,18 +33,16 @@ from .graphs import (
     Graph6Error,
     GraphError,
     bits,
-    canonical_form,
     canonical_graph,
     components,
     connected_chordal_reps,
-    enumerate_graphs,
     from_edges,
     graph_reps,
     mask_of,
     parse_graph6,
     to_graph6,
 )
-from .rational import INFINITY, ToughnessValue, format_toughness, parse_toughness
+from .rational import INFINITY, ToughnessValue, format_toughness
 from .recognize import (
     ClassVerdict,
     find_asteroidal_triple,

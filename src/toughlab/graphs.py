@@ -185,6 +185,22 @@ def separates(comps: list[int], u: int, v: int) -> bool:
     return False
 
 
+def separating_cuts(g: Graph, u: int, v: int, max_size: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (S, components(g, S)) for every S avoiding u and v with
+    |S| <= max_size that leaves u and v in different components of g - S.
+
+    Cuts come by increasing size, then increasing mask. This is the walk of
+    every edge and vertex-pair search; each size-k step costs C(n-2, k)
+    component computations.
+    """
+    pool = g.full_mask & ~(1 << u) & ~(1 << v)
+    for size in range(max_size + 1):
+        for s in subsets(pool, size):
+            comps = components(g, s)
+            if len(comps) > 1 and separates(comps, u, v):
+                yield s, comps
+
+
 # ---------------------------------------------------------------------------
 # graph6 short form
 # ---------------------------------------------------------------------------
@@ -245,12 +261,6 @@ def to_graph6(g: Graph) -> str:
     if filled:
         out.append((group << (6 - filled)) + 63)
     return out.decode("ascii")
-
-
-def write_graph6_lines(graphs, destination) -> None:
-    """One graph per line, LF-terminated."""
-    for g in graphs:
-        destination.write(to_graph6(g) + "\n")
 
 
 def read_graph6_lines(source) -> Iterator[Graph]:
@@ -367,11 +377,6 @@ def canonical_graph(g: Graph) -> Graph:
     return relabel(g, _canonical_order(g))
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Label-invariant key; the graph6 bytes of the canonical labeling."""
-    return to_graph6(canonical_graph(g)).encode("ascii")
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism-free enumeration
 # ---------------------------------------------------------------------------
@@ -440,17 +445,3 @@ def connected_chordal_reps(n: int) -> tuple[Graph, ...]:
     """
     return _augmented_reps(n, connected_chordal_reps,
                            lambda parent: clique_masks(parent)[1:])  # [0] is empty
-
-
-def enumerate_graphs(n: int,
-                     predicate: Optional[Callable[[Graph], bool]] = None,
-                     consumer: Optional[Callable[[Graph], None]] = None) -> int:
-    """Feed one representative per isomorphism class to consumer; return count."""
-    count = 0
-    for g in graph_reps(n):
-        if predicate is not None and not predicate(g):
-            continue
-        if consumer is not None:
-            consumer(g)
-        count += 1
-    return count

@@ -78,13 +78,3 @@ def format_toughness(value: ToughnessValue) -> str:
     if value == 0:
         return "0"
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_toughness(text: str) -> ToughnessValue:
-    """Inverse of format_toughness."""
-    if text == "inf":
-        return INFINITY
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))

@@ -4,12 +4,17 @@ characterization of non-minimally tough graphs.
 Every cut search walks one cut size at a time through ``graphs.subsets``,
 the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
 least size. Toughness is minimized in increasing cut size; at size k no
-ratio below k/(n-k) is possible, which bounds the scan. The edge searches
-look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S and
-omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
-deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
-leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
-for such an S stops at the first one, or at size k once k >= t*(n-k).
+ratio below k/(n-k) is possible, which bounds the scan. Every edge and
+vertex-pair search walks ``graphs.separating_cuts``: the cuts S avoiding u
+and v that leave them apart. A Menger path count is the size of the first
+such cut (in G-uv, plus one, when uv is an edge), so it costs time
+exponential in the count; every caller runs it next to an exponential
+toughness search. The edge searches look at G-e only: if u, v are apart
+in (G-e)-S, e bridges G-S and omega(G-S) = omega((G-e)-S) - 1. Minimality
+never recomputes tau(G-e): deleting e = uv lowers tau(G) = t exactly when
+some S avoiding u and v leaves them apart in (G-e)-S with
+|S| < t*omega((G-e)-S), and the search for such an S stops at the first
+one, or at size k once k >= t*(n-k).
 Every threshold comparison (>= 2t+1, >= t*(omega+1), ...) is
 cross-multiplied in integers; no division and no float is ever involved in
 a decision.
@@ -17,14 +22,13 @@ a decision.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, components, separates, subsets
+from .graphs import Graph, GraphError, bits, components, separating_cuts, subsets
 from .rational import INFINITY, ToughnessValue
 
 
@@ -112,8 +116,9 @@ def is_minimally_tough(g: Graph) -> MinimalityResult:
     disconnect G that far, so deleting uv must have split one more component
     off. Cuts are tried in increasing size and the first one settles the
     edge; S = 0 covers bridges. At size k no cut qualifies once
-    k*den >= num*(n-k), since omega <= n-k. witness_edge is the first edge
-    in ``g.edges()`` order that no cut lowers.
+    k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
+    k with k*den < num*(n-k). witness_edge is the first edge in
+    ``g.edges()`` order that no cut lowers.
     """
     if g.is_complete():
         return MinimalityResult(Minimality.COMPLETE, INFINITY)
@@ -121,94 +126,51 @@ def is_minimally_tough(g: Graph) -> MinimalityResult:
         return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
     t = toughness(g)
     num, den = t.numerator, t.denominator
-    n = g.n
+    largest = (num * g.n - 1) // (num + den)
     for u, v in g.edges():
-        ge = g.without_edge(u, v)
-        others = g.full_mask & ~(1 << u) & ~(1 << v)
-        size = 0
-        lowered = False
-        while not lowered and size * den < num * (n - size):
-            for s in subsets(others, size):
-                comps = components(ge, s)
-                if size * den < num * len(comps) and separates(comps, u, v):
-                    lowered = True
-                    break
-            size += 1
-        if not lowered:
+        for s, comps in separating_cuts(g.without_edge(u, v), u, v, largest):
+            if s.bit_count() * den < num * len(comps):
+                break
+        else:
             return MinimalityResult(Minimality.NOT_MINIMAL, t, (u, v))
     return MinimalityResult(Minimality.MINIMALLY_TOUGH, t)
 
 
 # ---------------------------------------------------------------------------
-# Menger path counts via unit-capacity vertex-split max-flow
+# Menger path counts as minimum separating cuts
 # ---------------------------------------------------------------------------
-
-def _max_internally_disjoint(g: Graph, source: int, sink: int) -> int:
-    """Max internally vertex-disjoint source-sink paths; uv must not be an edge.
-
-    Each vertex w other than the terminals splits into w_in (2w) and w_out
-    (2w+1) joined by a capacity-1 arc; each graph edge xy becomes arcs
-    x_out -> y_in and y_out -> x_in. Augment with BFS until no path remains.
-    """
-    n = g.n
-    capacity: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int):
-        capacity[(a, b)] = capacity.get((a, b), 0) + 1
-
-    for w in range(n):
-        if w != source and w != sink:
-            add(2 * w, 2 * w + 1)
-    for x, y in g.edges():
-        add(2 * x + 1, 2 * y)
-        add(2 * y + 1, 2 * x)
-    start, goal = 2 * source + 1, 2 * sink
-    outgoing: dict[int, list[int]] = {}
-    for a, b in capacity:
-        outgoing.setdefault(a, []).append(b)
-        outgoing.setdefault(b, []).append(a)  # residual direction
-    flow = 0
-    while True:
-        prev = {start: start}
-        queue = deque([start])
-        while queue and goal not in prev:
-            a = queue.popleft()
-            for b in outgoing.get(a, ()):
-                if b not in prev and capacity.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if goal not in prev:
-            return flow
-        b = goal
-        while b != start:
-            a = prev[b]
-            capacity[(a, b)] = capacity.get((a, b), 0) - 1
-            capacity[(b, a)] = capacity.get((b, a), 0) + 1
-            b = a
-        flow += 1
-
 
 def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     """Maximum number of pairwise internally vertex-disjoint u-v paths.
 
-    When uv is an edge it counts as one path and the rest are computed in
-    G - uv, so the result matches Menger on the edge-deleted graph plus one.
+    By Menger's theorem this is the size of a smallest cut separating u from
+    v when uv is not an edge. When uv is an edge it counts as one path and
+    the rest are counted in G - uv. The cut walk makes at most the sum over
+    k <= the result of C(n-2, k) component computations.
     """
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphError(f"vertex pair ({u}, {v}) outside 0..{g.n - 1}")
     if u == v:
         raise GraphError("path count needs two distinct vertices")
-    if g.has_edge(u, v):
-        return 1 + _max_internally_disjoint(g.without_edge(u, v), u, v)
-    return _max_internally_disjoint(g, u, v)
+    edge = g.has_edge(u, v)
+    if edge:
+        g = g.without_edge(u, v)
+    # V - {u, v} separates u from v once they are not adjacent
+    cut, _ = next(separating_cuts(g, u, v, g.n - 2))
+    return edge + cut.bit_count()
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Min over nonadjacent pairs of the Menger count; n-1 for complete graphs."""
-    best = g.n - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                best = min(best, disjoint_path_count(g, u, v))
-    return best
+    """Size of a smallest disconnecting vertex set; n-1 for complete graphs.
+
+    One walk over cuts by increasing size, so the cost is exponential in the
+    result: at most the sum over k <= kappa of C(n, k) component computations.
+    """
+    if g.is_complete():
+        return g.n - 1
+    # a noncomplete graph has a nonadjacent pair, which V minus the pair disconnects
+    return next(size for size in range(g.n - 1)
+                for s in subsets(g.full_mask, size) if len(components(g, s)) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +184,16 @@ def _condition2(g: Graph, u: int, v: int, num: int, den: int,
     The restricted variant only quantifies over separators whose every vertex
     has neighbors in at least two components of (G-e)-S.
     """
-    ge = g.without_edge(u, v)
-    others = g.full_mask & ~(1 << u) & ~(1 << v)
-    for size in range(others.bit_count() + 1):
-        for s in subsets(others, size):
-            comps_ge = components(ge, s)
-            # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps_ge) - 1,
-            # and S separates G exactly when comps_ge has three parts or more
-            if len(comps_ge) < 3 or not separates(comps_ge, u, v):
-                continue
-            if restricted and not all(
-                    sum(1 for comp in comps_ge if g.adj[w] & comp) >= 2 for w in bits(s)):
-                continue
-            if size * den < num * len(comps_ge):
-                return False
+    for s, comps_ge in separating_cuts(g.without_edge(u, v), u, v, g.n - 2):
+        # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps_ge) - 1,
+        # and S separates G exactly when comps_ge has three parts or more
+        if len(comps_ge) < 3:
+            continue
+        if restricted and not all(
+                sum(1 for comp in comps_ge if g.adj[w] & comp) >= 2 for w in bits(s)):
+            continue
+        if s.bit_count() * den < num * len(comps_ge):
+            return False
     return True
 
 
@@ -291,25 +249,20 @@ def check_sufficient_condition(g: Graph, t: Fraction) -> Optional[tuple[int, int
 def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitnessSet]:
     """Witness cut S(e): omega(G-S) <= |S|/t < omega((G-e)-S) and e bridges G-S.
 
-    Bridges get the empty cut. The search runs over cuts avoiding the edge
-    ends in increasing size, so the reported witness is size-minimal, and the
-    least mask of its size.
+    Bridges get the empty cut. The search walks the cuts of G-e that
+    separate the edge ends in increasing size, so the reported witness is
+    size-minimal, and the least mask of its size.
     """
     u, v = edge
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     if g.is_complete() or not g.is_connected():
         raise GraphError("witness sets apply to connected noncomplete graphs")
-    ge = g.without_edge(u, v)
-    if not ge.is_connected():
-        return EdgeWitnessSet(edge, 0)
     t = toughness(g)
     num, den = t.numerator, t.denominator
-    others = g.full_mask & ~(1 << u) & ~(1 << v)
-    for size in range(1, others.bit_count() + 1):
-        for cut in subsets(others, size):
-            comps_ge = components(ge, cut)
-            parts = len(comps_ge)  # omega(G-S) + 1 when u, v are apart: e bridges G-S
-            if separates(comps_ge, u, v) and (parts - 1) * num <= size * den < parts * num:
-                return EdgeWitnessSet(edge, cut)
+    for cut, comps_ge in separating_cuts(g.without_edge(u, v), u, v, g.n - 2):
+        parts = len(comps_ge)  # omega(G-S) + 1: e bridges G-S
+        # the empty cut comes first and only when e is a bridge of G
+        if not cut or (parts - 1) * num <= cut.bit_count() * den < parts * num:
+            return EdgeWitnessSet(edge, cut)
     return None

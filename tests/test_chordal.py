@@ -1,5 +1,6 @@
 """Chordal toolkit: elimination orderings, clique trees, separators, and
-moplexes, cross-checked against brute-force oracles on all small graphs."""
+moplexes, cross-checked against brute-force oracles on all small graphs
+and against networkx."""
 
 from itertools import combinations
 
@@ -84,6 +85,27 @@ class TestPeo:
     def test_is_chordal_matches_hole_oracle(self):
         for g in graph_reps(6):
             assert is_chordal(g) == (not has_hole_oracle(g))
+
+
+class TestNetworkxOracles:
+    @staticmethod
+    def reps_up_to_7(nx):
+        for n in range(1, 8):
+            for g in graph_reps(n):
+                h = nx.Graph()
+                h.add_nodes_from(range(g.n))
+                h.add_edges_from(g.edges())
+                yield g, h
+
+    def test_is_chordal_up_to_7(self):
+        nx = pytest.importorskip("networkx")
+        for g, h in self.reps_up_to_7(nx):
+            assert is_chordal(g) == nx.is_chordal(h), g
+
+    def test_maximal_cliques_up_to_7(self):
+        nx = pytest.importorskip("networkx")
+        for g, h in self.reps_up_to_7(nx):
+            assert maximal_cliques(g) == sorted(mask_of(c) for c in nx.find_cliques(h)), g
 
 
 class TestMaximalCliques:

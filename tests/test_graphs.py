@@ -1,6 +1,7 @@
-"""Graph core: construction, graph6 round-trips, components, canonical
-labeling checked against a permutation oracle, enumeration checked against
-an independent edge-mask sweep."""
+"""Graph core: construction, graph6 round-trips, components, the subset and
+separating-cut walks checked against their definitions, canonical labeling
+checked against a permutation oracle, enumeration checked against an
+independent edge-mask sweep."""
 
 import random
 from itertools import combinations, permutations
@@ -12,16 +13,15 @@ from toughlab.graphs import (
     Graph6Error,
     GraphError,
     bits,
-    canonical_form,
     canonical_graph,
     components,
     connected_chordal_reps,
-    enumerate_graphs,
     from_edges,
     graph_reps,
     mask_of,
     parse_graph6,
     relabel,
+    separating_cuts,
     subsets,
     to_graph6,
 )
@@ -194,10 +194,9 @@ class TestGraph6:
             assert to_graph6(parse_graph6(s)) == s
 
     def test_line_file_round_trip(self, tmp_path):
-        from toughlab.graphs import read_graph6_lines, write_graph6_lines
+        from toughlab.graphs import read_graph6_lines
         target = tmp_path / "all4.g6"
-        with open(target, "w") as fh:
-            write_graph6_lines(graph_reps(4), fh)
+        target.write_text("".join(to_graph6(g) + "\n" for g in graph_reps(4)))
         text = target.read_text()
         assert text.endswith("\n") and len(text.splitlines()) == 11
         with open(target) as fh:
@@ -235,33 +234,61 @@ class TestSubsets:
             assert list(subsets(pool, size)) == expected
 
 
+def reaches(g, removed, u, v):
+    """Oracle: plain search from u in g - removed."""
+    seen, todo = {u}, [u]
+    while todo:
+        for w in bits(g.adj[todo.pop()] & ~removed):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return v in seen
+
+
+class TestSeparatingCuts:
+    def test_matches_definition_up_to_6(self):
+        for n in range(2, 7):
+            for g in graph_reps(n):
+                for u, v in combinations(range(n), 2):
+                    others = g.full_mask & ~(1 << u) & ~(1 << v)
+                    cuts = sorted((s.bit_count(), s) for s in range(1 << n)
+                                  if not s & ~others and not reaches(g, s, u, v))
+                    for max_size in range(n + 1):
+                        expected = [(s, components(g, s)) for size, s in cuts if size <= max_size]
+                        assert list(separating_cuts(g, u, v, max_size)) == expected, (g, u, v)
+
+
+def canonical_key(g):
+    return to_graph6(canonical_graph(g))
+
+
 class TestCanonical:
     def test_relabeled_path_equal_keys(self):
         other = from_edges(4, [(1, 3), (3, 0), (0, 2)])  # path 1-3-0-2
-        assert canonical_form(P4) == canonical_form(other)
+        assert canonical_key(P4) == canonical_key(other)
 
     def test_c4_p4_distinct(self):
-        assert canonical_form(C4) != canonical_form(P4)
+        assert canonical_key(C4) != canonical_key(P4)
 
     def test_p4_vs_triangle_plus_isolated(self):
         k3_plus = from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        assert canonical_form(P4) != canonical_form(k3_plus)
+        assert canonical_key(P4) != canonical_key(k3_plus)
 
     def test_rejects_large_graph(self):
         with pytest.raises(GraphError):
-            canonical_form(from_edges(11, []))
+            canonical_key(from_edges(11, []))
 
     def test_key_matches_isomorphism_oracle_n4(self):
         reps = sweep_classes(4)
         for g, h in combinations(reps, 2):
-            assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)
+            assert (canonical_key(g) == canonical_key(h)) == brute_isomorphic(g, h)
 
     def test_key_invariant_under_random_relabeling(self):
         rng = random.Random(7)
         for g in graph_reps(6)[::13]:
             order = list(range(g.n))
             rng.shuffle(order)
-            assert canonical_form(relabel(g, order)) == canonical_form(g)
+            assert canonical_key(relabel(g, order)) == canonical_key(g)
 
     def test_twin_partition_matches_closure_up_to_6(self):
         for n in range(1, 7):
@@ -275,15 +302,15 @@ class TestCanonical:
 
 class TestEnumeration:
     def test_counts_n3(self):
-        assert enumerate_graphs(3) == 4
+        assert sum(1 for g in graph_reps(3)) == 4
 
     def test_counts_n4_connected(self):
-        assert enumerate_graphs(4, lambda g: g.is_connected()) == 6
+        assert sum(1 for g in graph_reps(4) if g.is_connected()) == 6
 
     def test_counts_n4_connected_chordal(self):
         # C4 is the single connected non-chordal graph on 4 vertices
         from toughlab.chordal import is_chordal
-        assert enumerate_graphs(4, lambda g: g.is_connected() and is_chordal(g)) == 5
+        assert sum(1 for g in graph_reps(4) if g.is_connected() and is_chordal(g)) == 5
         assert len(connected_chordal_reps(4)) == 5
 
     def test_counts_match_sweep_oracle_up_to_5(self):
@@ -299,11 +326,6 @@ class TestEnumeration:
         keys = [to_graph6(g) for g in graph_reps(5)]
         assert keys == sorted(keys)
         assert all(to_graph6(canonical_graph(g)) == to_graph6(g) for g in graph_reps(5))
-
-    def test_consumer_receives_every_rep(self):
-        seen = []
-        count = enumerate_graphs(4, consumer=seen.append)
-        assert count == len(seen) == 11
 
     def test_known_class_counts(self):
         assert [len(graph_reps(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]

@@ -1,6 +1,7 @@
 """Toughness engine: exact values against a full-scan oracle, Menger counts
-against a path-packing oracle, minimality against per-edge recomputation,
-the characterization machinery, and properties on random graphs."""
+and connectivity against a path-packing oracle and networkx, minimality
+against per-edge recomputation, the characterization machinery, and
+properties on random graphs."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -243,6 +244,11 @@ class TestDisjointPaths:
         with pytest.raises(GraphError):
             disjoint_path_count(complete(4), 2, 2)
 
+    @pytest.mark.parametrize("u, v", [(0, 7), (7, 0), (-1, 2)])
+    def test_rejects_vertex_out_of_range(self, u, v):
+        with pytest.raises(GraphError):
+            disjoint_path_count(cycle(4), u, v)
+
     def test_path_packing_oracle_up_to_5(self):
         for g in graph_reps(5):
             for u, v in combinations(range(g.n), 2):
@@ -254,6 +260,33 @@ class TestDisjointPaths:
                 continue
             t = toughness(g)
             assert 2 * t.numerator <= vertex_connectivity(g) * t.denominator
+
+
+def to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+class TestNetworkxOracles:
+    def test_vertex_connectivity_2_to_6(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 7):
+            for g in graph_reps(n):
+                assert vertex_connectivity(g) == nx.node_connectivity(to_networkx(nx, g)), g
+
+    def test_disjoint_path_count_up_to_6(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.connectivity import local_node_connectivity
+        for n in range(2, 7):
+            for g in graph_reps(n):
+                for u, v in combinations(range(n), 2):
+                    # networkx counts nonadjacent pairs; an edge is one more path
+                    edge = g.has_edge(u, v)
+                    h = to_networkx(nx, g.without_edge(u, v) if edge else g)
+                    expected = edge + local_node_connectivity(h, u, v)
+                    assert disjoint_path_count(g, u, v) == expected, (g, u, v)
 
 
 class TestCharacterization:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toughlab.families import wheel
-from toughlab.graphs import GraphError, canonical_form, to_graph6
+from toughlab.graphs import GraphError, canonical_graph, to_graph6
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
     SEVERITY_FINDING,
@@ -92,8 +92,8 @@ class TestScan:
     def test_all_scan_finds_wheels(self):
         report = scan_conjecture(6, "all")
         hits = dict(report.counterexamples)
-        w5 = canonical_form(wheel(5)).decode()
-        w6 = canonical_form(wheel(6)).decode()
+        w5 = to_graph6(canonical_graph(wheel(5)))
+        w6 = to_graph6(canonical_graph(wheel(6)))
         assert hits.get(w5) == Fraction(3, 2)
         assert hits.get(w6) == Fraction(3, 2)
         assert report.passed  # wheels are findings, not theorem violations
