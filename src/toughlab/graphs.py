@@ -98,6 +98,8 @@ class Graph:
         return self.adj[v] | 1 << v
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphError(f"vertex pair ({u}, {v}) outside 0..{self.n - 1}")
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:

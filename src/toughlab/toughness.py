@@ -148,8 +148,6 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     the rest are counted in G - uv. The cut walk makes at most the sum over
     k <= the result of C(n-2, k) component computations.
     """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"vertex pair ({u}, {v}) outside 0..{g.n - 1}")
     if u == v:
         raise GraphError("path count needs two distinct vertices")
     edge = g.has_edge(u, v)

@@ -309,6 +309,11 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     return False
 
 
+def _minimal_separators_brute(g: Graph) -> list[int]:
+    """Oracle: every vertex subset that passes the S-full test, by mask."""
+    return [s for s in range(1 << g.n) if is_minimal_separator(g, s)]
+
+
 def _not_minimal_by_recomputation(g: Graph) -> Optional[tuple[int, int]]:
     """Definitional oracle: the first edge whose deletion keeps the toughness.
 
@@ -323,22 +328,27 @@ def _not_minimal_by_recomputation(g: Graph) -> Optional[tuple[int, int]]:
 
 
 def _check_minseparator(g: Graph):
-    """S-full characterization agrees with the definitional minimal separator."""
+    """S-full characterization agrees with the definitional minimal separator,
+    and the generator lists exactly the subsets that pass it."""
+    walked = _minimal_separators_brute(g)
+    passing = set(walked)
     for s in range(1 << g.n):
-        if is_minimal_separator(g, s) != _is_minimal_separator_direct(g, s):
+        if (s in passing) != _is_minimal_separator_direct(g, s):
             yield f"S-full test disagrees on cut mask {s}"
+    if minimal_separators(g) != walked:
+        yield "generated separators differ from the S-full walk"
 
 
 def _check_dirac(g: Graph):
     """Chordal iff every minimal separator induces a clique."""
-    all_cliques = all(_mask_is_clique(g, s) for s in minimal_separators(g))
+    all_cliques = all(_mask_is_clique(g, s) for s in _minimal_separators_brute(g))
     if is_chordal(g) != all_cliques:
         yield "chordality and clique-separator test disagree"
 
 
 def _check_cliquetree_separators(g: Graph):
     """Clique-tree edge intersections equal the brute-force minimal separators."""
-    if minimal_separators_via_clique_tree(g, clique_tree(g)) != minimal_separators(g):
+    if minimal_separators_via_clique_tree(g, clique_tree(g)) != _minimal_separators_brute(g):
         yield "separator sets differ"
 
 

@@ -6,11 +6,15 @@ criterion:
     pytest tests/test_acceptance.py -s
 """
 
+import contextlib
+import io
+import json
 import os
 import time
 from fractions import Fraction
 
 from toughlab.chordal import is_chordal
+from toughlab.cli import EXIT_OK, main
 from toughlab.families import matched_cliques, star, wheel
 from toughlab.graphs import from_edges, graph_reps, parse_graph6, to_graph6
 from toughlab.rational import in_half_one_interval
@@ -155,3 +159,16 @@ def test_13_wheel16_minimality_budget():
     elapsed = time.perf_counter() - started
     assert elapsed < 2.0, f"budget exceeded: {elapsed:.1f}s"
     _report(13, "wheel(16) minimally 8/7-tough within 2 s", started)
+
+
+def test_14_analyze_complete30_budget():
+    started = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--json", "--family", "complete:30"])
+    record = json.loads(out.getvalue())
+    assert code == EXIT_OK
+    assert record["tau"] == "inf" and record["minimal_separators"] == []
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"budget exceeded: {elapsed:.1f}s"
+    _report(14, "analyze complete:30 within 1 s", started)

@@ -24,7 +24,7 @@ from toughlab.chordal import (
     peo,
     validate_clique_tree,
 )
-from toughlab.families import complete, cycle, k_sun, path, star, wheel
+from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
     bits,
@@ -33,7 +33,9 @@ from toughlab.graphs import (
     from_edges,
     graph_reps,
     mask_of,
+    to_graph6,
 )
+from toughlab.verify import _minimal_separators_brute as separators_by_walk
 
 P4 = path(4)
 C4 = cycle(4)
@@ -173,6 +175,33 @@ class TestMinimalSeparators:
 
     def test_complete_has_none(self):
         assert minimal_separators(K4) == []
+
+    def test_empty_set_listed_exactly_when_disconnected(self):
+        assert minimal_separators(from_edges(3, [(0, 1)])) == [0]
+        assert minimal_separators(from_edges(4, [(0, 1), (1, 2)])) == [0, mask_of([1])]
+        assert 0 not in minimal_separators(C5)
+
+    def test_generator_matches_walk_up_to_7(self):
+        # graph_reps holds the disconnected classes too, so this pins the
+        # empty-set rule as well
+        for n in range(1, 8):
+            for g in graph_reps(n):
+                assert minimal_separators(g) == separators_by_walk(g), to_graph6(g)
+
+    def test_generator_matches_walk_on_chordal_8(self):
+        for g in connected_chordal_reps(8):
+            assert minimal_separators(g) == separators_by_walk(g), to_graph6(g)
+
+    @pytest.mark.parametrize("family, size", [
+        *((wheel, k) for k in range(5, 13)),
+        *((cycle, k) for k in range(4, 13)),
+        *((path, k) for k in range(2, 15)),
+        *((star, k) for k in range(2, 9)),
+        *((matched_cliques, k) for k in range(2, 6)),
+    ], ids=lambda value: getattr(value, "__name__", str(value)))
+    def test_generator_matches_walk_on_families(self, family, size):
+        g = family(size)
+        assert minimal_separators(g) == separators_by_walk(g)
 
     def test_via_clique_tree_p4(self):
         tree = clique_tree(P4)

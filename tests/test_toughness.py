@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toughlab.chordal import minimal_separators
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
@@ -38,7 +39,7 @@ from toughlab.toughness import (
     toughness_witness,
     vertex_connectivity,
 )
-from toughlab.verify import _not_minimal_by_recomputation
+from toughlab.verify import _minimal_separators_brute, _not_minimal_by_recomputation
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 
@@ -453,6 +454,18 @@ class TestEdgeWitnessSets:
             find_edge_witness_set(cycle(4), (0, 2))
 
 
+class TestVertexRange:
+    @pytest.mark.parametrize("call", [
+        find_edge_witness_set,
+        check_condition2_restricted,
+        lambda g, edge: g.without_edge(*edge),
+    ], ids=["find_edge_witness_set", "check_condition2_restricted", "without_edge"])
+    @pytest.mark.parametrize("edge", [(-1, 2), (7, 0)])
+    def test_vertex_outside_graph_is_graph_error(self, call, edge):
+        with pytest.raises(GraphError, match="outside"):
+            call(path(4), edge)
+
+
 class TestExactArithmetic:
     def test_values_are_reduced_integer_fractions(self):
         for g in graph_reps(5):
@@ -535,6 +548,16 @@ class TestRandomGraphProperties:
     @given(random_graphs())
     def test_targeted_minimality_matches_recomputation(self, g):
         assert is_minimally_tough(g) == recomputed_minimality(g)
+
+    @bounded
+    @given(random_graphs(), st.data())
+    def test_separator_generator_matches_walk_and_relabeling(self, g, data):
+        order = data.draw(st.permutations(range(g.n)))
+        h = relabel(g, order)
+        found = minimal_separators(g)
+        assert found == _minimal_separators_brute(g)
+        images = sorted(mask_of(order.index(v) for v in bits(s)) for s in found)
+        assert minimal_separators(h) == images
 
     @bounded
     @given(random_graphs())

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from toughlab.families import wheel
-from toughlab.graphs import GraphError, canonical_graph, to_graph6
+from toughlab.families import cycle, wheel
+from toughlab.graphs import GraphError, bits, canonical_graph, components, to_graph6
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
     SEVERITY_FINDING,
@@ -68,6 +68,27 @@ class TestRunSuite:
         assert report.graphs_checked == 9 and not report.passed
         assert len({g6 for g6, _ in report.violations}) == len(report.violations) == 9
         assert {d for _, d in report.violations} == {"no induced C4, C5, or 2K2"}
+
+    def test_separator_generator_cross_checked(self, monkeypatch):
+        # the seed step alone, N(C) for the components C of G - N[v], misses
+        # every separator that only the closure reaches, such as the
+        # opposite pairs of C6
+        def seeds_only(g):
+            found = set()
+            for v in range(g.n):
+                for comp in components(g, g.closed(v)):
+                    hood = 0
+                    for x in bits(comp):
+                        hood |= g.adj[x]
+                    found.add(hood & g.closed(v))
+            return sorted(found)
+
+        monkeypatch.setattr("toughlab.verify.minimal_separators", seeds_only)
+        report = run_suite("prop_minseparator", 6)
+        assert report.graphs_checked == 208 and not report.passed
+        assert {d for _, d in report.violations} == {
+            "generated separators differ from the S-full walk"}
+        assert to_graph6(canonical_graph(cycle(6))) in {g6 for g6, _ in report.violations}
 
     def test_report_fields(self):
         report = run_suite("thm_dirac", 4)
