@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, components
+from .graphs import Graph, GraphError, bits, components, from_edges, mask_of
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def clique_tree(g: Graph) -> CliqueTree:
     """Maximum-weight spanning tree of the clique intersection graph.
 
     Kruskal over pairs sorted by (-|Qi & Qj|, i, j); the lexicographic
-    tie-break makes the tree deterministic.
+    tie-break makes the tree deterministic. The groups of cliques already
+    tied together are bitmasks: joined[i] holds the cliques in i's group.
     """
     if not g.is_connected():
         raise GraphError("clique tree requires a connected graph")
@@ -112,19 +113,13 @@ def clique_tree(g: Graph) -> CliqueTree:
         ((i, j) for i in range(k) for j in range(i + 1, k)),
         key=lambda ij: (-(cliques[ij[0]] & cliques[ij[1]]).bit_count(), ij),
     )
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = [1 << i for i in range(k)]
     edges = []
     for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+        if not joined[i] >> j & 1:
+            merged = joined[i] | joined[j]
+            for x in bits(merged):
+                joined[x] = merged
             edges.append((i, j))
             if len(edges) == k - 1:
                 break
@@ -138,34 +133,15 @@ def validate_clique_tree(g: Graph, tree: CliqueTree) -> None:
     k = len(tree.cliques)
     if len(tree.tree_edges) != k - 1:
         raise GraphError("clique tree edge count is not node count minus one")
-    reach = {0}
-    frontier = [0]
-    neighbors = [[] for _ in range(k)]
     for i, j in tree.tree_edges:
         if not (0 <= i < k and 0 <= j < k) or i == j:
             raise GraphError("clique tree edge endpoints out of range")
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    while frontier:
-        x = frontier.pop()
-        for y in neighbors[x]:
-            if y not in reach:
-                reach.add(y)
-                frontier.append(y)
-    if len(reach) != k:
+    forest = from_edges(k, tree.tree_edges)
+    if len(components(forest)) != 1:
         raise GraphError("clique tree edges do not form a tree")
     for v in range(g.n):
-        holding = [i for i, q in enumerate(tree.cliques) if q >> v & 1]
-        sub = {holding[0]}
-        frontier = [holding[0]]
-        while frontier:
-            x = frontier.pop()
-            for y in neighbors[x]:
-                if y in sub or not tree.cliques[y] >> v & 1:
-                    continue
-                sub.add(y)
-                frontier.append(y)
-        if len(sub) != len(holding):
+        holding = mask_of(i for i, q in enumerate(tree.cliques) if q >> v & 1)
+        if len(components(forest, forest.full_mask & ~holding)) != 1:
             raise GraphError(f"cliques containing vertex {v} are not a subtree")
 
 
@@ -241,6 +217,8 @@ def moplexes(g: Graph) -> list[int]:
 
 
 def is_moplicial(g: Graph, v: int) -> bool:
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range")
     return any(m >> v & 1 for m in moplexes(g))
 
 

@@ -15,8 +15,8 @@ from typing import Optional
 
 from .chordal import is_chordal, minimal_separators, moplexes
 from .families import build_family
-from .graphs import (Graph, Graph6Error, GraphError, bits, parse_graph6,
-                     read_graph6_lines, to_graph6)
+from .graphs import (GRAPH6_MAX_VERTICES, Graph, Graph6Error, GraphError, bits,
+                     parse_graph6, read_graph6_lines, to_graph6)
 from .rational import format_toughness, is_finite
 from .recognize import is_interval_like, is_split, is_strongly_chordal
 from .toughness import Minimality, is_minimally_tough, toughness_witness
@@ -144,7 +144,11 @@ def _print_analysis(record: dict, out) -> None:
 def _gather_graphs(args) -> list[Graph]:
     graphs = []
     for spec in args.family:
-        graphs.append(build_family(spec))
+        g = build_family(spec)
+        if g.n > GRAPH6_MAX_VERTICES:  # every record carries its graph6 string
+            raise _UsageError(f"{spec} has {g.n} vertices; graph6 records hold "
+                              f"at most {GRAPH6_MAX_VERTICES}")
+        graphs.append(g)
     for item in args.inputs:
         if item == "-":
             graphs.extend(read_graph6_lines(sys.stdin))

@@ -3,21 +3,21 @@ characterization of non-minimally tough graphs.
 
 Every cut search walks one cut size at a time through ``graphs.subsets``,
 the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
-least size. Toughness is minimized in increasing cut size; at size k no
-ratio below k/(n-k) is possible, which bounds the scan. Every edge and
-vertex-pair search walks ``graphs.separating_cuts``: the cuts S avoiding u
-and v that leave them apart. A Menger path count is the size of the first
-such cut (in G-uv, plus one, when uv is an edge), so it costs time
-exponential in the count; every caller runs it next to an exponential
-toughness search. The edge searches look at G-e only: if u, v are apart
-in (G-e)-S, e bridges G-S and omega(G-S) = omega((G-e)-S) - 1. Minimality
-never recomputes tau(G-e): deleting e = uv lowers tau(G) = t exactly when
-some S avoiding u and v leaves them apart in (G-e)-S with
-|S| < t*omega((G-e)-S), and the search for such an S stops at the first
-one, or at size k once k >= t*(n-k).
-Every threshold comparison (>= 2t+1, >= t*(omega+1), ...) is
-cross-multiplied in integers; no division and no float is ever involved in
-a decision.
+least size. Toughness is minimized in increasing cut size from the empty
+cut, which settles disconnected graphs; at size k no ratio below k/(n-k) is
+possible, which bounds the scan. Every edge and vertex-pair search walks
+``graphs.separating_cuts``: the cuts S avoiding u and v that leave them
+apart. A Menger path count is the size of the first such cut (in G-uv,
+plus one, when uv is an edge), so it costs time exponential in the count;
+every caller runs it next to an exponential toughness search. The edge
+searches look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S and
+omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
+deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
+leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
+for such an S stops at the first one, or at size k once k >= t*(n-k).
+Every comparison of ratios or thresholds (a better cut, the size bound,
+>= 2t+1, >= t*(omega+1), ...) is cross-multiplied in integers; no division
+and no float is ever involved in a decision.
 """
 
 from __future__ import annotations
@@ -64,29 +64,25 @@ class MinimalityResult:
 
 
 def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitness]]:
-    """Exact toughness with a minimizing cut (None for complete graphs)."""
+    """Exact toughness with a minimizing cut (None for complete graphs).
+
+    The empty cut comes first and settles disconnected graphs. The best ratio
+    is the pair best_size/best_parts, 1/0 before any cut, and every decision
+    is an integer product; one Fraction is built at the end."""
     if g.is_complete():
         return INFINITY, None
-    comps = components(g)
-    if len(comps) > 1:
-        return Fraction(0), ToughnessWitness(0, len(comps), Fraction(0))
     n = g.n
-    best: Optional[Fraction] = None
-    witness: Optional[ToughnessWitness] = None
-    for size in range(1, n - 1):
+    best, best_size, best_parts = 0, 1, 0
+    for size in range(n - 1):
         # even omega = n - size cannot beat the current best at this size
-        if best is not None and Fraction(size, n - size) >= best:
+        if size * best_parts >= best_size * (n - size):
             break
         for cut in subsets(g.full_mask, size):
             parts = len(components(g, cut))
-            if parts < 2:
-                continue
-            ratio = Fraction(size, parts)
-            if best is None or ratio < best:
-                best = ratio
-                witness = ToughnessWitness(cut, parts, ratio)
-    assert best is not None  # connected noncomplete graphs always disconnect
-    return best, witness
+            if parts > 1 and size * best_parts < best_size * parts:
+                best, best_size, best_parts = cut, size, parts
+    value = Fraction(best_size, best_parts)
+    return value, ToughnessWitness(best, best_parts, value)
 
 
 @lru_cache(maxsize=1 << 17)

@@ -2,7 +2,7 @@
 moplexes, cross-checked against brute-force oracles on all small graphs
 and against networkx."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -164,6 +164,58 @@ class TestCliqueTree:
             validate_clique_tree(P4, bad)
         with pytest.raises(GraphError):
             validate_clique_tree(P4, CliqueTree(tree.cliques[:2], tree.tree_edges[:1]))
+
+    @pytest.mark.parametrize("g, cliques, edges, message", [
+        (P4, None, ((0, 1),), "clique tree edge count is not node count minus one"),
+        (P4, None, ((0, 1), (1, 0)), "clique tree edges do not form a tree"),
+        (P4, None, ((0, 1), (1, 3)), "clique tree edge endpoints out of range"),
+        (P4, None, ((-1, 1), (1, 2)), "clique tree edge endpoints out of range"),
+        (P4, None, ((0, 1), (1, 1)), "clique tree edge endpoints out of range"),
+        (P4, None, ((0, 2), (2, 1)), "cliques containing vertex 1 are not a subtree"),
+        # the path 1-0-2-3: cliques {0,1}, {0,2}, {2,3}
+        (from_edges(4, [(1, 0), (0, 2), (2, 3)]), None, ((0, 2), (2, 1)),
+         "cliques containing vertex 0 are not a subtree"),
+        (P4, 2, ((0, 1),), "clique tree nodes are not exactly the maximal cliques"),
+    ], ids=["edge-count", "duplicate-edge", "endpoint-above", "endpoint-below",
+            "self-loop", "broken-subtree", "broken-subtree-at-0", "wrong-clique-set"])
+    def test_validator_messages(self, g, cliques, edges, message):
+        # P4's cliques are {0,1}, {1,2}, {2,3}, in that order
+        tree = clique_tree(g)
+        with pytest.raises(GraphError) as caught:
+            validate_clique_tree(g, CliqueTree(tree.cliques[:cliques], edges))
+        assert str(caught.value) == message
+
+    def test_validator_against_networkx(self):
+        """Every list of k-1 pairs over -1..k on the cliques of each connected
+        chordal graph with n <= 5 and k <= 4: rejected exactly when a pair
+        leaves 0..k-1 or is a loop, the pairs do not form a tree, or the
+        cliques holding some vertex do not induce a connected subtree."""
+        nx = pytest.importorskip("networkx")
+        cases = 0
+        for n in range(1, 6):
+            for g in connected_chordal_reps(n):
+                cliques = clique_tree(g).cliques
+                k = len(cliques)
+                if k > 4:
+                    continue
+                pairs = list(product(range(-1, k + 1), repeat=2))
+                for edges in combinations_with_replacement(pairs, k - 1):
+                    cases += 1
+                    forest = nx.Graph(edges)
+                    forest.add_nodes_from(range(k))
+                    invalid = (
+                        any(not (0 <= i < k and 0 <= j < k) or i == j for i, j in edges)
+                        or not nx.is_tree(forest)
+                        or not all(nx.is_connected(forest.subgraph(
+                            [i for i, q in enumerate(cliques) if q >> v & 1]))
+                            for v in range(g.n)))
+                    try:
+                        validate_clique_tree(g, CliqueTree(cliques, edges))
+                    except GraphError:
+                        assert invalid, (g, edges)
+                    else:
+                        assert not invalid, (g, edges)
+        assert cases == 28350
 
 
 class TestMinimalSeparators:
@@ -345,6 +397,10 @@ class TestVertexPredicates:
             is_simple(P4, 4)
         with pytest.raises(GraphError):
             maximum_neighbor(P4, -1)
+        with pytest.raises(GraphError):
+            is_moplicial(P4, -1)
+        with pytest.raises(GraphError):
+            is_moplicial(P4, 4)
 
 
 class TestMaximumNeighbor:

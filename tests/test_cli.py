@@ -143,8 +143,10 @@ def _existing_out_refused_max_n(tmp_path):
     (["scan", "--max-n", "3", "--jobs", "1"], lambda p: ["--out", str(p)], EXIT_USAGE),
     (["scan", "--max-n", "3", "--jobs", "1"], _missing_dir_out, EXIT_USAGE),
     (["scan", "--jobs", "1"], _existing_out_refused_max_n, EXIT_USAGE),
+    (["analyze", "--family", "complete:63"], lambda p: [], EXIT_USAGE),
+    (["analyze", "--family", "complete:5", "--family", "star:62"], lambda p: [], EXIT_USAGE),
 ], ids=["dir-input", "undecodable-input", "out-is-dir", "out-missing-dir",
-        "refused-max-n-keeps-out"])
+        "refused-max-n-keeps-out", "family-past-graph6", "later-family-past-graph6"])
 def test_refused_inputs_exit_cleanly(tmp_path, capsys, argv, extra, code):
     argv = argv + extra(tmp_path)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
