@@ -45,21 +45,15 @@ def peo(g: Graph) -> Optional[tuple[int, ...]]:
     reversed visit order is a PEO whenever the graph is chordal. The
     candidate is verified, so the return value is trusted either way.
     """
-    n = g.n
-    weight = [0] * n
+    adj, full = g.adj, g.full_mask
     visited = 0
     order = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited >> v & 1 and (best < 0 or weight[v] > weight[best]):
-                best = v
+    while visited != full:
+        best = max(bits(full & ~visited), key=lambda v: (adj[v] & visited).bit_count())
         order.append(best)
         visited |= 1 << best
-        for u in bits(g.adj[best] & ~visited):
-            weight[u] += 1
     order.reverse()
-    remaining = g.full_mask
+    remaining = full
     for v in order:
         remaining ^= 1 << v
         later = g.adj[v] & remaining

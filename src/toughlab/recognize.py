@@ -3,17 +3,21 @@ triples, and universal vertices.
 
 Recognition is desk-scale and certificate-bearing: a negative verdict for a
 characterization-based class carries a concrete forbidden structure that
-re-validates against the adjacency.
+re-validates against the adjacency. The sun, split-obstruction and claw
+searches walk vertex masks with ``subsets`` in increasing order, so each
+returns the witness on the least mask it tests: the least clique hub of the
+smallest sun, the least four-set and then the least five-set for a split
+obstruction, and the least leaf triple of the least center for a claw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations
 from typing import Optional
 
 from .chordal import is_chordal, is_clique, is_simple, maximal_cliques
-from .graphs import Graph, GraphError, bits, components, separates, subsets
+from .graphs import Graph, GraphError, bits, components, mask_of, separates, subsets
 
 
 @dataclass(frozen=True)
@@ -60,59 +64,42 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
     """Induced k-sun for some 3 <= k <= k_max: (k, hub cycle A, outer set B).
 
     A is a clique ordered so b_j is adjacent to exactly a_j and a_{j+1}
-    (indices mod k) among A, and B is independent.
+    (indices mod k) among A, and B is independent. Each k-clique hub is
+    tried in increasing mask order. Its spokes are the outside vertices with
+    exactly two neighbors in the hub; the walk starts at the hub's least
+    vertex and each step takes a spoke, nonadjacent to the spokes already
+    taken, from the current vertex to an unvisited one, or back to the start
+    once the hub is used up.
     """
     if not 3 <= k_max <= g.n // 2:
         raise GraphError(f"sun bound {k_max} outside 3..n/2")
-    full = g.full_mask
+    adj, full = g.adj, g.full_mask
+
+    def walk(hub: int, spokes: list[int], a: tuple[int, ...], b: tuple[int, ...]):
+        rest = hub & ~mask_of(a)
+        ends = rest or 1 << a[0]  # an unvisited hub vertex, else back to the start
+        taken = mask_of(b)
+        for v in spokes:
+            seen = adj[v] & hub
+            other = seen ^ 1 << a[-1]
+            if not seen >> a[-1] & 1 or not other & ends or adj[v] & taken:
+                continue
+            if not rest:
+                return len(a), a, b + (v,)
+            found = walk(hub, spokes, a + (other.bit_length() - 1,), b + (v,))
+            if found:
+                return found
+        return None
+
     for k in range(3, k_max + 1):
-        for a_mask in subsets(full, k):
-            if not is_clique(g, a_mask):
+        for hub in subsets(full, k):
+            if not is_clique(g, hub):
                 continue
-            first, *others = bits(a_mask)
-            for rest in permutations(others):
-                if k > 2 and rest[0] > rest[-1]:
-                    continue  # fix reflection
-                a_order = (first, *rest)
-                slots = []
-                ok = True
-                for j in range(k):
-                    want = 1 << a_order[j] | 1 << a_order[(j + 1) % k]
-                    cands = [v for v in bits(full & ~a_mask)
-                             if g.adj[v] & a_mask == want]
-                    if not cands:
-                        ok = False
-                        break
-                    slots.append(cands)
-                if not ok:
-                    continue
-                b_order = _independent_transversal(g, slots)
-                if b_order is not None:
-                    return k, a_order, tuple(b_order)
+            spokes = [v for v in bits(full & ~hub) if (adj[v] & hub).bit_count() == 2]
+            found = walk(hub, spokes, ((hub & -hub).bit_length() - 1,), ())
+            if found:
+                return found
     return None
-
-
-def _independent_transversal(g: Graph, slots: list[list[int]]) -> Optional[list[int]]:
-    """Distinct, pairwise nonadjacent choice of one vertex per slot."""
-    chosen: list[int] = []
-    used = 0
-
-    def place(j: int) -> bool:
-        nonlocal used
-        if j == len(slots):
-            return True
-        for v in slots[j]:
-            if used >> v & 1 or g.adj[v] & used:
-                continue
-            chosen.append(v)
-            used |= 1 << v
-            if place(j + 1):
-                return True
-            chosen.pop()
-            used ^= 1 << v
-        return False
-
-    return chosen if place(0) else None
 
 
 def _greedy_simple_elimination(g: Graph) -> bool:
@@ -144,28 +131,28 @@ def is_strongly_chordal(g: Graph) -> ClassVerdict:
 
 
 def find_split_obstruction(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Induced C4, C5, or pair of independent edges, if any."""
-    for quad in combinations(range(g.n), 4):
-        sub = [(x, y) for x, y in combinations(quad, 2) if g.has_edge(x, y)]
-        if len(sub) == 2 and not set(sub[0]) & set(sub[1]):
-            return "2K2", (*sub[0], *sub[1])
-        if len(sub) == 4 and all(
-                sum(1 for e in sub if v in e) == 2 for v in quad):
-            a = quad[0]
-            others = [v for v in quad if v != a and g.has_edge(a, v)]
-            far = next(v for v in quad if v != a and v not in others)
-            return "C4", (a, others[0], far, others[1])
-    for quint in combinations(range(g.n), 5):
-        sub = [(x, y) for x, y in combinations(quint, 2) if g.has_edge(x, y)]
-        if len(sub) == 5 and all(
-                sum(1 for e in sub if v in e) == 2 for v in quint):
-            cycle = [quint[0]]
-            used = {quint[0]}
-            while len(cycle) < 5:
-                cycle.append(next(v for v in quint
-                                  if v not in used and g.has_edge(cycle[-1], v)))
-                used.add(cycle[-1])
-            return "C5", tuple(cycle)
+    """Induced C4, C5, or pair of independent edges, if any.
+
+    Walks the four-vertex masks and then the five-vertex masks in increasing
+    order and reads each set's induced degrees: all 1 is a 2K2 (a, b, c, d)
+    with a the least vertex and ab, cd the edges; all 2 is a C4 or C5 walked
+    from the least vertex through its lesser neighbor. The witness is the
+    least such mask, four-sets first.
+    """
+    adj, full = g.adj, g.full_mask
+    for s in chain(subsets(full, 4), subsets(full, 5)):
+        degrees = {(adj[v] & s).bit_count() for v in bits(s)}
+        if degrees != {1} and degrees != {2}:
+            continue
+        order = []
+        left = step = s
+        while step:
+            v = (step & -step).bit_length() - 1
+            order.append(v)
+            left ^= 1 << v
+            step = adj[v] & left or left
+        kind = "2K2" if degrees == {1} else f"C{len(order)}"
+        return kind, tuple(order)
     return None
 
 
@@ -220,8 +207,7 @@ def universal_vertices(g: Graph) -> int:
 def find_induced_claw(g: Graph) -> Optional[tuple[int, int, int, int]]:
     """Induced K_{1,3} as (center, leaf, leaf, leaf), if any."""
     for center in range(g.n):
-        hood = list(bits(g.adj[center]))
-        for trio in combinations(hood, 3):
-            if not any(g.has_edge(x, y) for x, y in combinations(trio, 2)):
-                return (center, *trio)
+        for trio in subsets(g.adj[center], 3):
+            if is_independent(g, trio):
+                return (center, *bits(trio))
     return None

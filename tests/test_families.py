@@ -1,6 +1,7 @@
 """Family constructors: exact edge sets, labeling conventions, and the
 paper-derived toughness facts for stars, wheels, suns, and matched cliques."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ class TestConstructions:
                            (wheel, 3), (k_sun, 2), (matched_cliques, 1)]:
             with pytest.raises(GraphError):
                 build(bad)
+
+    @pytest.mark.parametrize("build, size", [
+        (path, 10**6), (cycle, 10**6), (complete, 3000), (star, 10**6),
+        (wheel, 10**6), (k_sun, 1500), (matched_cliques, 1500)])
+    def test_oversized_member_refused_before_edges_exist(self, build, size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError):
+                build(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_build_family_strings(self):
         assert build_family("wheel:5") == wheel(5)

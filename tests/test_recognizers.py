@@ -257,3 +257,57 @@ class TestClaw:
         from toughlab.families import matched_cliques
         assert find_induced_claw(matched_cliques(3)) is None
         assert find_induced_claw(matched_cliques(4)) is None
+
+
+def test_mask_walk_finders_match_networkx():
+    """Subgraph-isomorphism oracle for the split, claw, and sun finders.
+
+    The split witness is also pinned to the least vertex mask whose induced
+    subgraph is a 2K2 or C4, or failing that a C5."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g, vertices=None):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n) if vertices is None else vertices)
+        h.add_edges_from((u, v) for u, v in g.edges() if u in h and v in h)
+        return h
+
+    def induces(h, pattern):
+        return GraphMatcher(h, pattern).subgraph_is_isomorphic()
+
+    split_shapes = ((4, [nx.Graph([(0, 1), (2, 3)]), nx.cycle_graph(4)]), (5, [nx.cycle_graph(5)]))
+    claw, sun = nx.star_graph(3), to_nx(k_sun(3))
+
+    def least_split_mask(g):
+        for size, shapes in split_shapes:
+            masks = [mask_of(vs) for vs in combinations(range(g.n), size)
+                     if any(nx.is_isomorphic(to_nx(g, vs), t) for t in shapes)]
+            if masks:
+                return min(masks)
+        return None
+
+    for g in (g for n in range(1, 7) for g in graph_reps(n)):
+        h = to_nx(g)
+        found = find_split_obstruction(g)
+        assert (found is None) == (not any(induces(h, t) for _, ts in split_shapes for t in ts))
+        if found is not None:
+            kind, verts = found
+            assert mask_of(verts) == least_split_mask(g)
+            if kind == "2K2":
+                a, b, c, d = verts
+                assert g.has_edge(a, b) and g.has_edge(c, d)
+                assert not any(g.has_edge(x, y) for x in (a, b) for y in (c, d))
+            else:
+                validate_hole(g, verts)
+        found = find_induced_claw(g)
+        assert (found is None) == (not induces(h, claw))
+        if found is not None:
+            center, *leaves = found
+            assert all(g.has_edge(center, x) for x in leaves)
+            assert is_independent(g, mask_of(leaves))
+    for g in graph_reps(6) + graph_reps(7):
+        found = find_induced_sun(g, g.n // 2)
+        assert (found is None) == (not induces(to_nx(g), sun))
+        if found is not None:
+            validate_sun(g, found)
