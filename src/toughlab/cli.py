@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
 
 def _analysis_record(g: Graph) -> dict:
     tau, witness = toughness_witness(g)
-    result = is_minimally_tough(g)
+    result = is_minimally_tough(g, tau=tau)
     record = {
         "graph6": to_graph6(g),
         "n": g.n,

@@ -9,6 +9,8 @@ isomorphism rejection, and exhaustive enumeration of small graphs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -86,6 +88,15 @@ class Graph:
         self.n = n
         self.adj = rows
 
+    @classmethod
+    def _unchecked(cls, n: int, rows) -> "Graph":
+        """Graph from rows derived from an already validated graph, which
+        keep every invariant __init__ checks, so none is checked again."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(rows)
+        return g
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -123,7 +134,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        return Graph(self.n, rows)
+        return Graph._unchecked(self.n, rows)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -229,20 +240,24 @@ def parse_graph6(text: str) -> Graph:
     payload = raw[1:]
     if len(payload) != need:
         raise Graph6Error(f"expected {need} payload bytes for n={n}, got {len(payload)}")
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = payload[pos // 6] - 63
-            if group >> (5 - pos % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
     if nbits % 6:
         pad = 6 - nbits % 6
         if (payload[-1] - 63) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
-    return Graph(n, rows)
+    return Graph(n, _graph6_rows(n, payload))
+
+
+def _graph6_rows(n: int, payload: bytes) -> list[int]:
+    """Adjacency rows of a graph6 payload: the upper triangle column by column."""
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if payload[pos // 6] - 63 >> (5 - pos % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return rows
 
 
 def to_graph6(g: Graph) -> str:
@@ -300,14 +315,25 @@ def _twin_partition(g: Graph) -> tuple[int, ...]:
 
 
 def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Recolor each vertex by the rank of (its color, its neighbors' sorted
+    colors) until no class splits; the result numbers the classes densely.
+
+    A vertex alone in its class is ranked by its color alone, which orders
+    it among the other classes just as the full signature would. Each round
+    refines the last, so a round that adds no class has reached the
+    fixpoint, and its ranks are the classes renumbered in color order:
+    exactly what one more round would return.
+    """
+    classes = len(set(colors))
     while True:
-        sigs = [(colors[v], *sorted(colors[u] for u in neighbors[v]))
-                for v in range(len(colors))]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(rank[s] for s in sigs)
-        if new == colors:
+        color_of = colors.__getitem__
+        sigs = [(c, *sorted(map(color_of, nbrs))) if colors.count(c) > 1 else (c,)
+                for c, nbrs in zip(colors, neighbors)]
+        ranked = sorted(set(sigs))
+        colors = tuple(map({s: i for i, s in enumerate(ranked)}.__getitem__, sigs))
+        if len(ranked) == classes:
             return colors
-        colors = new
+        classes = len(ranked)
 
 
 def _canonical_order(g: Graph) -> tuple[int, ...]:
@@ -333,14 +359,10 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 
     def descend(colors):
         nonlocal best_key, best_order
-        counts = {}
+        counts = [0] * n  # refined colors are dense: 0..classes-1
         for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = None
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
+            counts[c] += 1
+        target = next((c for c, k in enumerate(counts) if k > 1), None)
         if target is None:
             order = tuple(sorted(range(n), key=colors.__getitem__))
             key = leaf_key(order)
@@ -348,14 +370,19 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
                 best_key, best_order = key, order
             return
         seen_twins = set()
+        doubled = [c * 2 for c in colors]
         for v in range(n):
             if colors[v] != target or twin[v] in seen_twins:
                 continue
             seen_twins.add(twin[v])
-            split = tuple(colors[u] * 2 + (1 if u == v else 0) for u in range(n))
-            descend(_refine(neighbors, split))
+            doubled[v] += 1
+            descend(_refine(neighbors, tuple(doubled)))
+            doubled[v] -= 1
 
-    descend(_refine(neighbors, (0,) * n))
+    # the first round from the uniform coloring ranks the vertices by degree
+    degrees = [row.bit_count() for row in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    descend(_refine(neighbors, tuple(map(rank.__getitem__, degrees))))
     return best_order
 
 
@@ -371,7 +398,7 @@ def relabel(g: Graph, order) -> Graph:
         for u in bits(g.adj[v]):
             r |= 1 << pos[u]
         rows[pos[v]] = r
-    return Graph(n, rows)
+    return Graph._unchecked(n, rows)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -387,27 +414,60 @@ def _augment(parent: Graph, neighborhood: int) -> Graph:
     """Attach one new highest-index vertex with the given neighborhood mask."""
     n = parent.n + 1
     top = 1 << (n - 1)
-    rows = [parent.adj[i] | (top if neighborhood >> i & 1 else 0)
-            for i in range(n - 1)]
+    rows = [row | top if neighborhood >> i & 1 else row for i, row in enumerate(parent.adj)]
     rows.append(neighborhood)
-    return Graph(n, rows)
+    return Graph._unchecked(n, rows)
+
+
+def _children(parent: Graph, neighborhoods: Iterable[int]) -> set[str]:
+    return {to_graph6(canonical_graph(_augment(parent, nb))) for nb in neighborhoods}
+
+
+def _any_children(parent: Graph) -> set[str]:
+    """Canonical graph6 keys of parent grown by a vertex over every neighborhood."""
+    return _children(parent, range(1 << parent.n))
+
+
+def _chordal_children(parent: Graph) -> set[str]:
+    """Canonical graph6 keys of parent grown by a simplicial vertex."""
+    return _children(parent, clique_masks(parent)[1:])  # [0] is empty
+
+
+# How an enumeration level maps its children worker over the parents: the
+# builtin map, or a worker pool's map inside ``level_map``.
+_level_map: ContextVar[Callable] = ContextVar("level_map", default=map)
+
+
+@contextmanager
+def level_map(mapper: Callable) -> Iterator[None]:
+    """Grow the enumeration levels computed inside the block with mapper, a
+    worker pool's ``map`` say, in place of the builtin map.
+
+    Levels come out the same either way and keep their lru_cache entries,
+    which are keyed by n alone. The worker and the parents are pickled for
+    a pool, so the workers are module-level functions.
+    """
+    token = _level_map.set(mapper)
+    try:
+        yield
+    finally:
+        _level_map.reset(token)
 
 
 def _augmented_reps(n: int, smaller: Callable[[int], tuple[Graph, ...]],
-                    neighborhoods: Callable[[Graph], Iterable[int]]) -> tuple[Graph, ...]:
-    """Grow each representative on n-1 vertices by one vertex over each of
-    its candidate neighborhoods; keep one canonical copy per class, sorted by
-    canonical graph6 key so enumeration order is reproducible."""
+                    children: Callable[[Graph], set[str]]) -> tuple[Graph, ...]:
+    """One enumeration level: map children over the representatives on n-1
+    vertices, merge the canonical keys they return and build one graph per
+    class, sorted by canonical graph6 key so enumeration order is
+    reproducible."""
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise GraphError(f"enumeration limited to 1..{ENUMERATION_MAX_VERTICES} vertices")
     if n == 1:
         return (Graph(1, (0,)),)
-    seen: dict[str, Graph] = {}
-    for parent in smaller(n - 1):
-        for neighborhood in neighborhoods(parent):
-            can = canonical_graph(_augment(parent, neighborhood))
-            seen.setdefault(to_graph6(can), can)
-    return tuple(seen[k] for k in sorted(seen))
+    keys = set().union(*_level_map.get()(children, smaller(n - 1)))
+    # the keys are this module's own output: decoded without re-validation
+    return tuple(Graph._unchecked(n, _graph6_rows(n, k[1:].encode("ascii")))
+                 for k in sorted(keys))
 
 
 @lru_cache(maxsize=None)
@@ -419,7 +479,7 @@ def graph_reps(n: int) -> tuple[Graph, ...]:
     neighborhood masks reaches every class. Output is sorted by canonical
     graph6 key.
     """
-    return _augmented_reps(n, graph_reps, lambda parent: range(1 << parent.n))
+    return _augmented_reps(n, graph_reps, _any_children)
 
 
 def clique_masks(g: Graph) -> list[int]:
@@ -445,5 +505,4 @@ def connected_chordal_reps(n: int) -> tuple[Graph, ...]:
     a nonempty clique (reverse perfect elimination), so growing over all
     nonempty clique masks and deduplicating is exhaustive.
     """
-    return _augmented_reps(n, connected_chordal_reps,
-                           lambda parent: clique_masks(parent)[1:])  # [0] is empty
+    return _augmented_reps(n, connected_chordal_reps, _chordal_children)

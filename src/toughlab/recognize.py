@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional
 
-from .chordal import is_chordal, is_clique, is_simple, maximal_cliques
+from .chordal import is_chordal, is_simple, maximal_cliques
 from .graphs import Graph, GraphError, bits, components, mask_of, separates, subsets
 
 
@@ -64,12 +64,12 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
     """Induced k-sun for some 3 <= k <= k_max: (k, hub cycle A, outer set B).
 
     A is a clique ordered so b_j is adjacent to exactly a_j and a_{j+1}
-    (indices mod k) among A, and B is independent. Each k-clique hub is
-    tried in increasing mask order. Its spokes are the outside vertices with
-    exactly two neighbors in the hub; the walk starts at the hub's least
-    vertex and each step takes a spoke, nonadjacent to the spokes already
-    taken, from the current vertex to an unvisited one, or back to the start
-    once the hub is used up.
+    (indices mod k) among A, and B is independent. Each k-clique hub, a
+    k-subset of a maximal clique, is tried in increasing mask order. Its
+    spokes are the outside vertices with exactly two neighbors in the hub;
+    the walk starts at the hub's least vertex and each step takes a spoke,
+    nonadjacent to the spokes already taken, from the current vertex to an
+    unvisited one, or back to the start once the hub is used up.
     """
     if not 3 <= k_max <= g.n // 2:
         raise GraphError(f"sun bound {k_max} outside 3..n/2")
@@ -91,10 +91,10 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
                 return found
         return None
 
+    cliques = maximal_cliques(g)
     for k in range(3, k_max + 1):
-        for hub in subsets(full, k):
-            if not is_clique(g, hub):
-                continue
+        # every k-clique lies in a maximal clique
+        for hub in sorted({h for q in cliques for h in subsets(q, k)}):
             spokes = [v for v in bits(full & ~hub) if (adj[v] & hub).bit_count() == 2]
             found = walk(hub, spokes, ((hub & -hub).bit_length() - 1,), ())
             if found:

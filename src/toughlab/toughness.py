@@ -103,8 +103,11 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
 
 
 @lru_cache(maxsize=1 << 15)
-def is_minimally_tough(g: Graph) -> MinimalityResult:
+def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> MinimalityResult:
     """Does deleting any single edge strictly lower the toughness?
+
+    tau is tau(g) when the caller already has it from toughness_witness,
+    and is taken as given; otherwise it comes from toughness(g).
 
     With t = num/den = tau(G), deleting uv lowers tau exactly when some cut
     S avoiding u and v leaves them apart in (G-uv)-S with
@@ -120,7 +123,7 @@ def is_minimally_tough(g: Graph) -> MinimalityResult:
         return MinimalityResult(Minimality.COMPLETE, INFINITY)
     if not g.is_connected():
         return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
-    t = toughness(g)
+    t = toughness(g) if tau is None else tau
     num, den = t.numerator, t.denominator
     largest = (num * g.n - 1) // (num + den)
     for u, v in g.edges():

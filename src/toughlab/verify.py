@@ -42,6 +42,7 @@ from .graphs import (
     components,
     connected_chordal_reps,
     graph_reps,
+    level_map,
     parse_graph6,
     separates,
     to_graph6,
@@ -220,15 +221,17 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
     start = time.perf_counter()
     per_n: dict[int, int] = {}
     hits: list[tuple[str, Fraction]] = []
-    # one pool for the whole scan; --jobs 1 stays in this process
+    # one pool for the whole scan, growing each enumeration level and then
+    # testing its members; --jobs 1 stays in this process
     workers = min(jobs, os.cpu_count() or 1)
     with multiprocessing.Pool(workers) if jobs > 1 else nullcontext() as pool:
         scan_map = partial(pool.map, chunksize=16) if pool else map
-        for n in range(1, n_max + 1):
-            members = _class_members(n, class_filter)
-            per_n[n] = len(members)
-            lines = [to_graph6(g) for g in members]
-            hits.extend(filter(None, scan_map(_scan_worker, lines)))
+        with level_map(scan_map):
+            for n in range(1, n_max + 1):
+                members = _class_members(n, class_filter)
+                per_n[n] = len(members)
+                lines = [to_graph6(g) for g in members]
+                hits.extend(filter(None, scan_map(_scan_worker, lines)))
     return ScanReport(class_filter, n_max, per_n, hits,
                       time.perf_counter() - start)
 

@@ -1,5 +1,6 @@
 """CLI: analyze/scan/verify subcommands, exit-code contract, JSON output."""
 
+import importlib
 import json
 
 import pytest
@@ -58,6 +59,24 @@ class TestAnalyze:
         assert main(["analyze", str(source)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("graph6:") == 2
+
+    def test_one_toughness_search_per_input(self, capsys, monkeypatch):
+        searched = []
+
+        def counted(g):
+            searched.append(g)
+            return search(g)
+
+        kernel = importlib.import_module("toughlab.toughness")  # the package's name is a function
+        search = kernel.toughness_witness
+        monkeypatch.setattr("toughlab.cli.toughness_witness", counted)
+        monkeypatch.setattr(kernel, "toughness_witness", counted)
+        kernel.toughness.cache_clear()
+        kernel.is_minimally_tough.cache_clear()
+        inputs = [to_graph6(wheel(8)), "Bw", "A?", "DQo"]  # W8, K3, two isolated vertices, P5
+        assert main(["analyze", "--json", *inputs]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == len(inputs)
+        assert [to_graph6(g) for g in searched] == inputs
 
     def test_parse_failure_exit_65(self, capsys):
         assert main(["analyze", "}}}"]) == EXIT_DATA

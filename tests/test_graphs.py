@@ -3,7 +3,10 @@ separating-cut walks checked against their definitions, canonical labeling
 checked against a permutation oracle, enumeration checked against an
 independent edge-mask sweep."""
 
+import hashlib
+import multiprocessing
 import random
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +21,7 @@ from toughlab.graphs import (
     connected_chordal_reps,
     from_edges,
     graph_reps,
+    level_map,
     mask_of,
     parse_graph6,
     relabel,
@@ -25,7 +29,7 @@ from toughlab.graphs import (
     subsets,
     to_graph6,
 )
-from toughlab.graphs import _twin_partition
+from toughlab.graphs import _augment, _twin_partition
 
 
 def brute_isomorphic(g, h):
@@ -352,3 +356,40 @@ class TestEnumeration:
                 can = canonical_graph(g)
                 swept.setdefault(to_graph6(can), can)
             assert graph_reps(n) == tuple(swept[k] for k in sorted(swept))
+
+    @pytest.mark.parametrize("reps, n, count, digest", [
+        (graph_reps, 7, 1044,
+         "262f21123d9371a0d675a892263ad4855a70894945a50ce1b87cc2c7176a4219"),
+        (connected_chordal_reps, 8, 1614,
+         "3ec33fcd6a86cd8c12ce38bc738de034b8e8a6818914877c87745722d0490588"),
+    ])
+    def test_enumeration_pinned_by_digest(self, reps, n, count, digest):
+        # SHA-256 of the newline-terminated graph6 keys, measured on the
+        # serial enumeration that kept one dict of graphs per level
+        keys = [to_graph6(g) for g in reps(n)]
+        assert len(keys) == count
+        assert hashlib.sha256("".join(k + "\n" for k in keys).encode()).hexdigest() == digest
+
+    def test_pooled_levels_equal_serial(self):
+        # each level grown on a 2-worker pool of the scan's kind, past the
+        # lru_cache, from the cached serial level below it equals the
+        # serial level
+        levels = [(graph_reps, n) for n in range(1, 7)]
+        levels += [(connected_chordal_reps, n) for n in range(1, 9)]
+        serial = [reps(n) for reps, n in levels]
+        with multiprocessing.Pool(2) as pool, level_map(partial(pool.map, chunksize=16)):
+            assert [reps.__wrapped__(n) for reps, n in levels] == serial
+
+
+def test_unchecked_graphs_equal_validated():
+    # every graph built without validation equals, and hashes like, the
+    # validated Graph on the same rows
+    for n in range(1, 7):
+        for g in graph_reps(n):
+            derived = [g, canonical_graph(g), relabel(g, range(n)[::-1])]
+            derived += [g.without_edge(u, v) for u, v in g.edges()]
+            derived += [_augment(g, nb) for nb in range(1 << n)]
+            for h in derived:
+                checked = Graph(h.n, h.adj)
+                assert type(h.adj) is tuple
+                assert h == checked and hash(h) == hash(checked)

@@ -9,9 +9,17 @@ from itertools import combinations
 
 import pytest
 
-from toughlab.chordal import is_chordal, is_simple
+from toughlab.chordal import is_chordal, is_clique, is_simple
 from toughlab.families import complete, cycle, k_sun, path, star, wheel
-from toughlab.graphs import GraphError, bits, from_edges, graph_reps, mask_of
+from toughlab.graphs import (
+    GraphError,
+    bits,
+    connected_chordal_reps,
+    from_edges,
+    graph_reps,
+    mask_of,
+    subsets,
+)
 from toughlab.recognize import (
     find_asteroidal_triple,
     find_hole,
@@ -103,6 +111,42 @@ class TestFindSun:
             find_induced_sun(k_sun(3), 2)
         with pytest.raises(GraphError):
             find_induced_sun(k_sun(3), 4)
+
+
+def sun_over_subset_hubs(g, k_max):
+    """Oracle: the sun walk over every k-subset that is_clique accepts, in
+    increasing mask order."""
+    adj, full = g.adj, g.full_mask
+
+    def walk(hub, spokes, a, b):
+        rest = hub & ~mask_of(a)
+        ends = rest or 1 << a[0]
+        for v in spokes:
+            seen = adj[v] & hub
+            other = seen ^ 1 << a[-1]
+            if not seen >> a[-1] & 1 or not other & ends or adj[v] & mask_of(b):
+                continue
+            if not rest:
+                return len(a), a, b + (v,)
+            found = walk(hub, spokes, a + (other.bit_length() - 1,), b + (v,))
+            if found:
+                return found
+        return None
+
+    for k in range(3, k_max + 1):
+        for hub in subsets(full, k):
+            if is_clique(g, hub):
+                spokes = [v for v in bits(full & ~hub) if (adj[v] & hub).bit_count() == 2]
+                found = walk(hub, spokes, ((hub & -hub).bit_length() - 1,), ())
+                if found:
+                    return found
+    return None
+
+
+def test_sun_hubs_from_maximal_cliques_keep_every_witness():
+    graphs = graph_reps(6) + graph_reps(7) + connected_chordal_reps(8)
+    for g in graphs:
+        assert find_induced_sun(g, g.n // 2) == sun_over_subset_hubs(g, g.n // 2)
 
 
 def greedy_outcomes(g):

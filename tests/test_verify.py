@@ -3,12 +3,22 @@ classification, and report serialization."""
 
 import io
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from toughlab.families import cycle, wheel
-from toughlab.graphs import GraphError, bits, canonical_graph, components, to_graph6
+from toughlab.graphs import (
+    GraphError,
+    bits,
+    canonical_graph,
+    components,
+    connected_chordal_reps,
+    graph_reps,
+    level_map,
+    to_graph6,
+)
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
     SEVERITY_FINDING,
@@ -16,6 +26,7 @@ from toughlab.verify import (
     CheckReport,
     ScanReport,
     SUITES,
+    _scan_worker,
     classify_counterexample,
     emit_report,
     run_suite,
@@ -142,6 +153,26 @@ class TestScan:
         parallel = scan_conjecture(6, "all", jobs=2).to_json_dict()
         del serial["elapsed_s"], parallel["elapsed_s"]
         assert serial == parallel
+
+    def test_pooled_chordal_scan_matches_serial_at_8(self):
+        serial = scan_conjecture(8, "chordal", jobs=1).to_json_dict()
+        connected_chordal_reps.cache_clear()  # so the pool grows every level again
+        parallel = scan_conjecture(8, "chordal", jobs=2).to_json_dict()
+        del serial["elapsed_s"], parallel["elapsed_s"]
+        assert serial == parallel
+
+    def test_workers_survive_a_spawned_pool(self):
+        # spawn pickles each worker by module path and starts from a fresh
+        # import, so a lambda or nested worker fails here
+        levels = [(reps, n) for reps in (graph_reps, connected_chordal_reps) for n in range(1, 6)]
+        serial = [reps(n) for reps, n in levels]
+        lines = [to_graph6(g) for n in range(1, 6) for g in graph_reps(n)]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            with level_map(pool.map):
+                assert [reps.__wrapped__(n) for reps, n in levels] == serial
+            hits = pool.map(_scan_worker, lines)
+        assert hits == list(map(_scan_worker, lines))
+        assert (to_graph6(canonical_graph(wheel(5))), Fraction(3, 2)) in hits
 
     @pytest.mark.parametrize("jobs, cpus, sizes", [
         (1, 8, []), (2, 8, [2]), (100000, 8, [8]), (2, 1, [1])])
