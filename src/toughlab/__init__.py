@@ -8,7 +8,6 @@ from .chordal import (
     is_minimal_separator,
     is_moplicial,
     is_simple,
-    is_simplicial,
     maximal_cliques,
     maximum_neighbor,
     maximum_neighboring_edge,

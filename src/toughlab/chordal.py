@@ -216,13 +216,6 @@ def is_moplicial(g: Graph, v: int) -> bool:
     return any(m >> v & 1 for m in moplexes(g))
 
 
-def is_simplicial(g: Graph, v: int) -> bool:
-    """N[v] is a clique."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    return is_clique(g, g.closed(v))
-
-
 def is_simple(g: Graph, v: int, alive: Optional[int] = None) -> bool:
     """The closed neighborhoods of N[v] form a chain under inclusion.
 
@@ -238,16 +231,22 @@ def is_simple(g: Graph, v: int, alive: Optional[int] = None) -> bool:
     return True
 
 
-def maximum_neighbor(g: Graph, v: int) -> Optional[int]:
-    """Some u in N[v] with N[w] subseteq N[u] for every w in N[v].
-
-    Prefers v itself when it qualifies, then the least qualifying neighbor.
-    """
+def _radius_two_ball(g: Graph, v: int) -> int:
+    """The union of N[w] over every w in N[v]."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
     union = 0
     for w in bits(g.closed(v)):
         union |= g.closed(w)
+    return union
+
+
+def maximum_neighbor(g: Graph, v: int) -> Optional[int]:
+    """Some u in N[v] with N[w] subseteq N[u] for every w in N[v].
+
+    Prefers v itself when it qualifies, then the least qualifying neighbor.
+    """
+    union = _radius_two_ball(g, v)
     for u in [v, *bits(g.adj[v])]:
         if not union & ~g.closed(u):
             return u
@@ -256,13 +255,8 @@ def maximum_neighbor(g: Graph, v: int) -> Optional[int]:
 
 def maximum_neighboring_edge(g: Graph, v: int) -> Optional[tuple[int, int]]:
     """Some edge uu' inside N(v) with N[w] subseteq N[u] | N[u'] for all w in N[v]."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    union = 0
-    for w in bits(g.closed(v)):
-        union |= g.closed(w)
-    hood = list(bits(g.adj[v]))
-    for u, u2 in combinations(hood, 2):
+    union = _radius_two_ball(g, v)
+    for u, u2 in combinations(bits(g.adj[v]), 2):
         if g.has_edge(u, u2) and not union & ~(g.closed(u) | g.closed(u2)):
             return u, u2
     return None

@@ -22,10 +22,10 @@ from .recognize import is_interval_like, is_split, is_strongly_chordal
 from .toughness import Minimality, is_minimally_tough, toughness_witness
 from .verify import (
     SCAN_CLASSES,
-    SCAN_MAX_N,
     SUITES,
     emit_report,
     run_suite,
+    scan_bound,
     scan_conjecture,
     suite_names,
 )
@@ -74,7 +74,9 @@ def _build_parser() -> _Parser:
                          help="newline-delimited JSON reports")
 
     scan = sub.add_parser("scan", help="scan for minimally tough graphs with tau > 1/2")
-    scan.add_argument("--max-n", type=int, default=7, dest="max_n")
+    scan.add_argument("--max-n", type=int, default=7, dest="max_n",
+                      help="largest vertex count scanned (default 7), at most " +
+                      ", ".join(f"{scan_bound(c)} for {c}" for c in SCAN_CLASSES))
     scan.add_argument("--class", dest="class_filter", default="chordal",
                       choices=SCAN_CLASSES)
     scan.add_argument("--jobs", type=int, default=None)
@@ -185,8 +187,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if not 1 <= args.max_n <= SCAN_MAX_N:
-        raise _UsageError(f"--max-n must be 1..{SCAN_MAX_N}")
+    bound = scan_bound(args.class_filter)
+    if not 1 <= args.max_n <= bound:
+        raise _UsageError(f"--max-n must be 1..{bound} for --class {args.class_filter}")
     jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
     try:
         out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)

@@ -16,8 +16,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
 GRAPH6_MAX_VERTICES = 62  # short form: length byte 63+n must stay below '~' (126)
-CANONICAL_MAX_VERTICES = 10
-ENUMERATION_MAX_VERTICES = 9
+# Largest vertex count of each enumerator. Canonical labeling serves them
+# all, so it goes as far as the largest.
+VERTEX_BOUNDS = {"graph_reps": 9, "connected_chordal_reps": 11}
+_CANONICAL_MAX = max(VERTEX_BOUNDS.values())
 
 
 class GraphError(ValueError):
@@ -338,8 +340,8 @@ def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
 
 def _canonical_order(g: Graph) -> tuple[int, ...]:
     """Vertex order whose induced adjacency key is minimal over the search."""
-    if g.n > CANONICAL_MAX_VERTICES:
-        raise GraphError(f"canonical labeling limited to {CANONICAL_MAX_VERTICES} vertices")
+    if g.n > _CANONICAL_MAX:
+        raise GraphError(f"canonical labeling limited to {_CANONICAL_MAX} vertices")
     n = g.n
     adj = g.adj
     neighbors = [tuple(bits(row)) for row in adj]
@@ -459,9 +461,11 @@ def _augmented_reps(n: int, smaller: Callable[[int], tuple[Graph, ...]],
     """One enumeration level: map children over the representatives on n-1
     vertices, merge the canonical keys they return and build one graph per
     class, sorted by canonical graph6 key so enumeration order is
-    reproducible."""
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise GraphError(f"enumeration limited to 1..{ENUMERATION_MAX_VERTICES} vertices")
+    reproducible. smaller is the enumerator itself, whose name keys its
+    bound in VERTEX_BOUNDS."""
+    bound = VERTEX_BOUNDS[smaller.__name__]
+    if not 1 <= n <= bound:
+        raise GraphError(f"{smaller.__name__} limited to 1..{bound} vertices")
     if n == 1:
         return (Graph(1, (0,)),)
     keys = set().union(*_level_map.get()(children, smaller(n - 1)))

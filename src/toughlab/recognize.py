@@ -17,7 +17,7 @@ from itertools import chain, combinations
 from typing import Optional
 
 from .chordal import is_chordal, is_simple, maximal_cliques
-from .graphs import Graph, GraphError, bits, components, mask_of, separates, subsets
+from .graphs import Graph, bits, components, mask_of, separates, subsets
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
     return None
 
 
-def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Induced k-sun for some 3 <= k <= k_max: (k, hub cycle A, outer set B).
+def find_induced_sun(g: Graph) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Induced k-sun for some 3 <= k <= n/2: (k, hub cycle A, outer set B),
+    so None below 6 vertices.
 
     A is a clique ordered so b_j is adjacent to exactly a_j and a_{j+1}
     (indices mod k) among A, and B is independent. Each k-clique hub, a
@@ -71,8 +72,6 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
     nonadjacent to the spokes already taken, from the current vertex to an
     unvisited one, or back to the start once the hub is used up.
     """
-    if not 3 <= k_max <= g.n // 2:
-        raise GraphError(f"sun bound {k_max} outside 3..n/2")
     adj, full = g.adj, g.full_mask
 
     def walk(hub: int, spokes: list[int], a: tuple[int, ...], b: tuple[int, ...]):
@@ -92,7 +91,7 @@ def find_induced_sun(g: Graph, k_max: int) -> Optional[tuple[int, tuple[int, ...
         return None
 
     cliques = maximal_cliques(g)
-    for k in range(3, k_max + 1):
+    for k in range(3, g.n // 2 + 1):
         # every k-clique lies in a maximal clique
         for hub in sorted({h for q in cliques for h in subsets(q, k)}):
             spokes = [v for v in bits(full & ~hub) if (adj[v] & hub).bit_count() == 2]
@@ -124,7 +123,7 @@ def is_strongly_chordal(g: Graph) -> ClassVerdict:
     hole = find_hole(g)
     if hole is not None:
         return ClassVerdict(False, witness=("hole", hole))
-    sun = find_induced_sun(g, g.n // 2) if g.n >= 6 else None
+    sun = find_induced_sun(g)
     if sun is None:
         raise RuntimeError("simple elimination stuck on a chordal sun-free graph")
     return ClassVerdict(False, witness=("sun", sun))

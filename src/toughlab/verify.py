@@ -36,6 +36,7 @@ from .chordal import (
 from .chordal import is_clique as _mask_is_clique
 from .families import matched_cliques, wheel
 from .graphs import (
+    VERTEX_BOUNDS,
     Graph,
     GraphError,
     bits,
@@ -69,17 +70,16 @@ from .toughness import (
     vertex_connectivity,
 )
 
-SCAN_MAX_N = 9
-# class filter -> which connected chordal graphs it scans; "all" scans every
-# connected graph instead. The lambdas look each recognizer up when called,
-# so patching a name in this module reaches the filter.
-_CHORDAL_CLASSES: dict[str, Callable[[Graph], bool]] = {
-    "chordal": lambda g: True,
-    "strongly_chordal": lambda g: is_strongly_chordal(g).member,
-    "split": lambda g: is_split(g).member,
-    "interval_like": lambda g: is_interval_like(g),
+# scan class -> (enumerator, filter): the members are the enumerator's graphs
+# that pass the filter, up to the enumerator's VERTEX_BOUNDS entry. Enumerators
+# and recognizers are looked up here when called, so patching them reaches the scan.
+SCAN_CLASSES: dict[str, tuple[str, Callable[[Graph], bool]]] = {
+    "chordal": ("connected_chordal_reps", lambda g: True),
+    "strongly_chordal": ("connected_chordal_reps", lambda g: is_strongly_chordal(g).member),
+    "split": ("connected_chordal_reps", lambda g: is_split(g).member),
+    "interval_like": ("connected_chordal_reps", lambda g: is_interval_like(g)),
+    "all": ("graph_reps", lambda g: g.is_connected()),
 }
-SCAN_CLASSES = (*_CHORDAL_CLASSES, "all")
 
 SEVERITY_VIOLATION = "theorem_violation"
 SEVERITY_CANDIDATE = "conjecture_candidate"
@@ -174,11 +174,9 @@ def emit_report(report, fmt: str, fh) -> None:
 # Conjecture scan
 # ---------------------------------------------------------------------------
 
-def _class_members(n: int, class_filter: str) -> list[Graph]:
-    if class_filter == "all":
-        return [g for g in graph_reps(n) if g.is_connected()]
-    keep = _CHORDAL_CLASSES[class_filter]
-    return [g for g in connected_chordal_reps(n) if keep(g)]
+def scan_bound(class_filter: str) -> int:
+    """Largest n_max a scan of the class accepts: its enumerator's bound."""
+    return VERTEX_BOUNDS[SCAN_CLASSES[class_filter][0]]
 
 
 def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
@@ -214,10 +212,12 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
                     jobs: int = 1) -> ScanReport:
     """Record every minimally tough graph with toughness above 1/2 among the
     connected members of the class, over all isomorphism classes up to n_max."""
-    if not 1 <= n_max <= SCAN_MAX_N:
-        raise GraphError(f"scan bound {n_max} outside 1..{SCAN_MAX_N}")
     if class_filter not in SCAN_CLASSES:
         raise GraphError(f"unknown scan class {class_filter!r}")
+    bound = scan_bound(class_filter)
+    if not 1 <= n_max <= bound:
+        raise GraphError(f"scan bound {n_max} outside 1..{bound} for class {class_filter}")
+    enumerator, keep = SCAN_CLASSES[class_filter]
     start = time.perf_counter()
     per_n: dict[int, int] = {}
     hits: list[tuple[str, Fraction]] = []
@@ -228,7 +228,7 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
         scan_map = partial(pool.map, chunksize=16) if pool else map
         with level_map(scan_map):
             for n in range(1, n_max + 1):
-                members = _class_members(n, class_filter)
+                members = [g for g in globals()[enumerator](n) if keep(g)]
                 per_n[n] = len(members)
                 lines = [to_graph6(g) for g in members]
                 hits.extend(filter(None, scan_map(_scan_worker, lines)))
@@ -437,9 +437,8 @@ def _check_universal(g: Graph):
 
 def _check_sun_or_hole(g: Graph):
     """Every minimally tough graph with tau > 1/2 has a hole or induced sun."""
-    if find_hole(g) is None:
-        if g.n < 6 or find_induced_sun(g, g.n // 2) is None:
-            yield "neither hole nor sun present"
+    if find_hole(g) is None and find_induced_sun(g) is None:
+        yield "neither hole nor sun present"
 
 
 def _check_split_obstructions(g: Graph):

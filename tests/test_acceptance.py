@@ -116,7 +116,7 @@ def test_09_farber_and_split_biconditionals_n7():
     for n in range(1, 8):
         for g in graph_reps(n):
             checked += 1
-            sun_free = g.n < 6 or find_induced_sun(g, g.n // 2) is None
+            sun_free = find_induced_sun(g) is None
             assert is_strongly_chordal(g).member == (is_chordal(g) and sun_free), to_graph6(g)
             assert is_split(g).member == (find_split_obstruction(g) is None), to_graph6(g)
     assert checked == 1 + 2 + 4 + 11 + 34 + 156 + 1044

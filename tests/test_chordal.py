@@ -14,7 +14,6 @@ from toughlab.chordal import (
     is_minimal_separator,
     is_moplicial,
     is_simple,
-    is_simplicial,
     maximal_cliques,
     maximum_neighbor,
     maximum_neighboring_edge,
@@ -370,14 +369,14 @@ class TestVertexPredicates:
         assert is_simple(STAR3, 1)
 
     def test_sun_tip_simplicial_not_simple(self):
-        assert is_simplicial(SUN3, 3)
+        assert is_clique(SUN3, SUN3.closed(3))
         assert not is_simple(SUN3, 3)
 
     def test_simple_implies_simplicial(self):
         for g in graph_reps(6):
             for v in range(g.n):
                 if is_simple(g, v):
-                    assert is_simplicial(g, v)
+                    assert is_clique(g, g.closed(v))
 
     def test_simple_implies_moplicial(self):
         for g in graph_reps(6):
@@ -390,7 +389,7 @@ class TestVertexPredicates:
             for g in connected_chordal_reps(n):
                 for v in range(g.n):
                     if is_moplicial(g, v):
-                        assert is_simplicial(g, v)
+                        assert is_clique(g, g.closed(v))
 
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):

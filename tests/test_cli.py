@@ -8,6 +8,7 @@ import pytest
 from toughlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toughlab.families import wheel
 from toughlab.graphs import to_graph6
+from toughlab.verify import ScanReport
 
 
 class TestAnalyze:
@@ -115,8 +116,27 @@ class TestScan:
         capsys.readouterr()
         assert json.loads(target.read_text())["class_filter"] == "chordal"
 
-    def test_max_n_bound_exit_64(self, capsys):
-        assert main(["scan", "--max-n", "12"]) == EXIT_USAGE
+    def test_max_n_bound_exit_64(self, capsys, monkeypatch):
+        # each class is refused past its enumerator's bound, before any scan
+        def unreached(*args, **kwargs):
+            pytest.fail("scan_conjecture reached past the class bound")
+
+        monkeypatch.setattr("toughlab.cli.scan_conjecture", unreached)
+        for class_filter, max_n in (("all", "10"), ("chordal", "12")):
+            assert main(["scan", "--class", class_filter, "--max-n", max_n]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("toughlab: ")
+
+    def test_max_n_within_class_bound_reaches_scan(self, capsys, monkeypatch):
+        calls = []
+
+        def recorded(n_max, class_filter, jobs):
+            calls.append((n_max, class_filter, jobs))
+            return ScanReport(class_filter, n_max, {}, [], 0.0)
+
+        monkeypatch.setattr("toughlab.cli.scan_conjecture", recorded)
+        assert main(["scan", "--class", "chordal", "--max-n", "10", "--jobs", "1"]) == EXIT_OK
+        assert calls == [(10, "chordal", 1)]
 
     def test_bad_class_exit_64(self, capsys):
         assert main(["scan", "--class", "bogus"]) == EXIT_USAGE

@@ -280,7 +280,7 @@ class TestCanonical:
 
     def test_rejects_large_graph(self):
         with pytest.raises(GraphError):
-            canonical_key(from_edges(11, []))
+            canonical_key(from_edges(12, []))
 
     def test_key_matches_isomorphism_oracle_n4(self):
         reps = sweep_classes(4)
@@ -346,6 +346,8 @@ class TestEnumeration:
     def test_rejects_out_of_bounds(self):
         with pytest.raises(GraphError):
             graph_reps(10)
+        with pytest.raises(GraphError):
+            connected_chordal_reps(12)
 
     def test_sweep_and_augmentation_agree_at_6(self):
         # oracle: canonicalize every labeled graph (each edge mask), dedupe by

@@ -12,7 +12,6 @@ import pytest
 from toughlab.chordal import is_chordal, is_clique, is_simple
 from toughlab.families import complete, cycle, k_sun, path, star, wheel
 from toughlab.graphs import (
-    GraphError,
     bits,
     connected_chordal_reps,
     from_edges,
@@ -84,36 +83,30 @@ class TestFindHole:
 
 class TestFindSun:
     def test_sun3_detected(self):
-        found = find_induced_sun(k_sun(3), 3)
+        found = find_induced_sun(k_sun(3))
         assert found is not None and found[0] == 3
         validate_sun(k_sun(3), found)
 
     def test_star_has_none(self):
-        assert find_induced_sun(star(5), 3) is None
+        assert find_induced_sun(star(5)) is None
 
     def test_sun4_detected(self):
-        found = find_induced_sun(k_sun(4), 4)
+        found = find_induced_sun(k_sun(4))
         assert found is not None and found[0] == 4
         validate_sun(k_sun(4), found)
 
     def test_sun5_detected(self):
-        found = find_induced_sun(k_sun(5), 5)
+        found = find_induced_sun(k_sun(5))
         assert found is not None and found[0] == 5
 
     def test_sun_inside_larger_graph(self):
         g = from_edges(7, list(k_sun(3).edges()) + [(6, 0), (6, 3)])
-        found = find_induced_sun(g, 3)
+        found = find_induced_sun(g)
         assert found is not None
         validate_sun(g, found)
 
-    def test_rejects_bad_bound(self):
-        with pytest.raises(GraphError):
-            find_induced_sun(k_sun(3), 2)
-        with pytest.raises(GraphError):
-            find_induced_sun(k_sun(3), 4)
 
-
-def sun_over_subset_hubs(g, k_max):
+def sun_over_subset_hubs(g):
     """Oracle: the sun walk over every k-subset that is_clique accepts, in
     increasing mask order."""
     adj, full = g.adj, g.full_mask
@@ -133,7 +126,7 @@ def sun_over_subset_hubs(g, k_max):
                 return found
         return None
 
-    for k in range(3, k_max + 1):
+    for k in range(3, g.n // 2 + 1):
         for hub in subsets(full, k):
             if is_clique(g, hub):
                 spokes = [v for v in bits(full & ~hub) if (adj[v] & hub).bit_count() == 2]
@@ -146,7 +139,7 @@ def sun_over_subset_hubs(g, k_max):
 def test_sun_hubs_from_maximal_cliques_keep_every_witness():
     graphs = graph_reps(6) + graph_reps(7) + connected_chordal_reps(8)
     for g in graphs:
-        assert find_induced_sun(g, g.n // 2) == sun_over_subset_hubs(g, g.n // 2)
+        assert find_induced_sun(g) == sun_over_subset_hubs(g)
 
 
 def greedy_outcomes(g):
@@ -192,7 +185,7 @@ class TestStronglyChordal:
 
     def test_farber_equivalence_up_to_6(self):
         for g in graph_reps(6):
-            sun_free = g.n < 6 or find_induced_sun(g, g.n // 2) is None
+            sun_free = find_induced_sun(g) is None
             assert is_strongly_chordal(g).member == (is_chordal(g) and sun_free)
 
     def test_elimination_is_order_independent_up_to_6(self):
@@ -351,7 +344,7 @@ def test_mask_walk_finders_match_networkx():
             assert all(g.has_edge(center, x) for x in leaves)
             assert is_independent(g, mask_of(leaves))
     for g in graph_reps(6) + graph_reps(7):
-        found = find_induced_sun(g, g.n // 2)
+        found = find_induced_sun(g)
         assert (found is None) == (not induces(to_nx(g), sun))
         if found is not None:
             validate_sun(g, found)

@@ -144,7 +144,9 @@ class TestScan:
 
     def test_scan_bound(self):
         with pytest.raises(GraphError):
-            scan_conjecture(10, "chordal")
+            scan_conjecture(10, "all")
+        with pytest.raises(GraphError):
+            scan_conjecture(12, "chordal")
         with pytest.raises(GraphError):
             scan_conjecture(5, "nosuch")
 
