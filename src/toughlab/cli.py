@@ -210,8 +210,6 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     run_all = args.suite == "all"
     names = suite_names() if run_all else [args.suite]
-    if any(name not in suite_names() for name in names):
-        raise _UsageError(f"unknown suite {args.suite!r}")
     all_passed = True
     for name in names:
         n_max = args.max_n

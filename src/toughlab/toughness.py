@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, GraphError, bits, components, separating_cuts, subsets
-from .rational import INFINITY, ToughnessValue
+from .rational import INFINITY, ToughnessValue, is_finite
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,17 @@ def toughness(g: Graph) -> ToughnessValue:
     return toughness_witness(g)[0]
 
 
+def _threshold(t: Fraction) -> tuple[int, int]:
+    """Numerator and denominator of a threshold t, refused unless a finite
+    nonnegative Fraction."""
+    if not is_finite(t) or t < 0:
+        raise GraphError(f"toughness threshold must be a nonnegative Fraction, got {t!r}")
+    return t.numerator, t.denominator
+
+
 def is_t_tough(g: Graph, t: Fraction) -> bool:
     """Definitional check: |S| >= t * omega(G-S) for every disconnecting S."""
-    if t < 0:
-        raise GraphError("toughness threshold must be nonnegative")
-    num, den = t.numerator, t.denominator
+    num, den = _threshold(t)
     for s in range(1 << g.n):
         parts = len(components(g, s))
         if parts > 1 and s.bit_count() * den < num * parts:
@@ -231,7 +237,7 @@ def check_condition2_restricted(g: Graph, edge: tuple[int, int]) -> tuple[bool, 
 def check_sufficient_condition(g: Graph, t: Fraction) -> Optional[tuple[int, int]]:
     """Adjacent pair with >= 2t common neighbors, >= t of which have all
     their neighbors inside N(u) | N(v); None when no edge qualifies."""
-    num, den = t.numerator, t.denominator
+    num, den = _threshold(t)
     for u, v in g.edges():
         common = g.adj[u] & g.adj[v]
         if common.bit_count() * den < 2 * num:

@@ -48,7 +48,8 @@ from .graphs import (
     separates,
     to_graph6,
 )
-from .rational import at_most_one, exceeds_half, in_half_one_interval
+from .rational import (ToughnessValue, at_most_one, exceeds_half, in_half_one_interval,
+                       is_finite)
 from .recognize import (
     find_hole,
     find_induced_claw,
@@ -79,6 +80,22 @@ SCAN_CLASSES: dict[str, tuple[str, Callable[[Graph], bool]]] = {
     "split": ("connected_chordal_reps", lambda g: is_split(g).member),
     "interval_like": ("connected_chordal_reps", lambda g: is_interval_like(g)),
     "all": ("graph_reps", lambda g: g.is_connected()),
+}
+
+# The paper's theorems, one per thm_* suite: no graph of the class is minimally
+# t-tough for t in the range. A scan hit counts against its first row, so the
+# (1/2,1] row comes first. Recognizers are looked up here when called.
+Theorem = tuple[str, Callable[[Graph], bool], Callable[[ToughnessValue], bool], str]
+
+THEOREMS: dict[str, Theorem] = {
+    "thm_chordal_interval": ("chordal", lambda g: is_chordal(g),
+                             in_half_one_interval, "in (1/2,1]"),
+    "thm_strongly_chordal": ("strongly chordal", lambda g: is_strongly_chordal(g).member,
+                             exceeds_half, "> 1/2"),
+    "thm_split": ("split", lambda g: is_split(g).member, exceeds_half, "> 1/2"),
+    "thm_universal": ("chordal with a universal vertex",
+                      lambda g: is_chordal(g) and bool(universal_vertices(g)),
+                      exceeds_half, "> 1/2"),
 }
 
 SEVERITY_VIOLATION = "theorem_violation"
@@ -186,24 +203,22 @@ def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
     return None
 
 
+def _theorem_detail(cls: str, tau: Fraction, text: str) -> str:
+    return f"{cls} and minimally {tau}-tough with tau {text}"
+
+
 def classify_counterexample(g6: str, tau: Fraction) -> tuple[str, str]:
-    """Severity of a scan hit: proved-theorem violation, open-conjecture
-    candidate, or a plain finding outside the conjecture's class."""
+    """Severity of a scan hit with tau > 1/2: the first THEOREMS row the hit
+    contradicts, an open-conjecture candidate, or a plain finding outside the
+    conjecture's class."""
+    if not exceeds_half(tau):
+        raise GraphError(f"scan hits have tau > 1/2, got {tau}")
     g = parse_graph6(g6)
     if not is_chordal(g):
         return SEVERITY_FINDING, f"minimally {tau}-tough but not chordal"
-    if at_most_one(tau):
-        return SEVERITY_VIOLATION, (
-            f"chordal and minimally {tau}-tough with tau in (1/2,1]")
-    if is_strongly_chordal(g).member:
-        return SEVERITY_VIOLATION, (
-            f"strongly chordal and minimally {tau}-tough with tau > 1/2")
-    if is_split(g).member:
-        return SEVERITY_VIOLATION, (
-            f"split and minimally {tau}-tough with tau > 1/2")
-    if universal_vertices(g):
-        return SEVERITY_VIOLATION, (
-            f"chordal with a universal vertex, minimally {tau}-tough, tau > 1")
+    for cls, member, in_range, text in THEOREMS.values():
+        if in_range(tau) and member(g):
+            return SEVERITY_VIOLATION, _theorem_detail(cls, tau, text)
     return SEVERITY_CANDIDATE, (
         f"chordal and minimally {tau}-tough with tau > 1; refutation candidate")
 
@@ -268,15 +283,9 @@ def _nontrivial(g: Graph) -> bool:
     return g.is_connected() and not g.is_complete()
 
 
-def _minimal(g: Graph) -> bool:
-    return is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH
-
-
-def _minimal_above_half(g: Graph) -> bool:
-    if not _nontrivial(g):
-        return False
+def _minimally_tough_in(g: Graph, in_range: Callable[[ToughnessValue], bool]) -> bool:
     result = is_minimally_tough(g)
-    return result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness)
+    return result.verdict is Minimality.MINIMALLY_TOUGH and in_range(result.toughness)
 
 
 def _check_connectivity_bound(g: Graph):
@@ -388,23 +397,14 @@ def _check_restricted_separators(g: Graph):
 def _check_sufficient(g: Graph):
     """The common-neighbor hypothesis at t = tau implies not minimally tough."""
     edge = check_sufficient_condition(g, toughness(g))
-    if edge is not None and _minimal(g):
+    if edge is not None and _minimally_tough_in(g, is_finite):
         yield f"edge {edge} satisfies the hypothesis yet minimal"
-
-
-def _check_chordal_interval(g: Graph):
-    """No minimally tough graph with tau in (1/2,1] is hole-free (= chordal)."""
-    result = is_minimally_tough(g)
-    if result.verdict is Minimality.MINIMALLY_TOUGH and in_half_one_interval(result.toughness):
-        if find_hole(g) is None:
-            yield f"minimally {result.toughness}-tough chordal graph in (1/2,1]"
 
 
 def _check_moplicial_neighbors(g: Graph):
     """A chordal graph whose moplicial vertex has a maximum neighbor or
     maximum neighboring edge is not minimally tough once tau > 1/2."""
-    result = is_minimally_tough(g)
-    if result.verdict is not Minimality.MINIMALLY_TOUGH or not exceeds_half(result.toughness):
+    if not _minimally_tough_in(g, exceeds_half):
         return
     for moplex in moplexes(g):
         for v in bits(moplex):
@@ -414,25 +414,11 @@ def _check_moplicial_neighbors(g: Graph):
                        f"neighbor or neighboring edge")
 
 
-def _minimal_beyond(g: Graph, exceeds: Callable[[Fraction], bool], kind: str):
-    result = is_minimally_tough(g)
-    if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds(result.toughness):
-        yield f"{kind}, minimally {result.toughness}-tough"
-
-
-def _check_strongly_chordal(g: Graph):
-    """No minimally tough strongly chordal graph with tau > 1/2."""
-    return _minimal_beyond(g, exceeds_half, "strongly chordal")
-
-
-def _check_split(g: Graph):
-    """No minimally tough split graph with tau > 1/2."""
-    return _minimal_beyond(g, exceeds_half, "split")
-
-
-def _check_universal(g: Graph):
-    """No minimally tough chordal graph with a universal vertex and tau > 1."""
-    return _minimal_beyond(g, lambda t: not at_most_one(t), "universal vertex, chordal")
+def _check_theorem(name: str, g: Graph):
+    """No graph of the THEOREMS row's class is minimally t-tough for t in its range."""
+    cls, member, in_range, text = THEOREMS[name]
+    if _minimally_tough_in(g, in_range) and member(g):
+        yield _theorem_detail(cls, is_minimally_tough(g).toughness, text)
 
 
 def _check_sun_or_hole(g: Graph):
@@ -455,7 +441,7 @@ def _is_star(g: Graph) -> bool:
 def _check_stars(g: Graph):
     """With a universal vertex and finite tau <= 1, minimally tough means star."""
     t = toughness(g)
-    minimal = _minimal(g)
+    minimal = _minimally_tough_in(g, is_finite)
     star_shaped = _is_star(g)
     if minimal != star_shaped:
         yield f"minimally tough={minimal} but star={star_shaped}"
@@ -499,7 +485,7 @@ Suite = tuple[Callable[[int], Iterator[Graph]], int,
 
 SUITES: dict[str, Suite] = {
     "prop_connectivity_bound": (_graphs_upto, 7, _nontrivial, _check_connectivity_bound),
-    "prop_witness_sets": (_graphs_upto, 6, lambda g: _nontrivial(g) and _minimal(g),
+    "prop_witness_sets": (_graphs_upto, 6, lambda g: _minimally_tough_in(g, is_finite),
                           _check_witness_sets),
     "prop_minseparator": (_graphs_upto, 7, _any, _check_minseparator),
     "thm_dirac": (_graphs_upto, 7, _any, _check_dirac),
@@ -511,19 +497,21 @@ SUITES: dict[str, Suite] = {
     "lemma_restricted_separators": (_graphs_upto, 6, _nontrivial,
                                     _check_restricted_separators),
     "lemma_sufficient": (_graphs_upto, 7, _nontrivial, _check_sufficient),
-    "thm_chordal_interval": (_graphs_upto, 7, _nontrivial, _check_chordal_interval),
+    "thm_chordal_interval": (_graphs_upto, 7, _nontrivial,
+                             partial(_check_theorem, "thm_chordal_interval")),
     "lemma_moplicial_neighbors": (_chordal_upto, 7, lambda g: not g.is_complete(),
                                   _check_moplicial_neighbors),
     "thm_strongly_chordal": (
         _chordal_upto, 7, lambda g: not g.is_complete() and is_strongly_chordal(g).member,
-        _check_strongly_chordal),
+        partial(_check_theorem, "thm_strongly_chordal")),
     "thm_split": (_chordal_upto, 7, lambda g: not g.is_complete() and is_split(g).member,
-                  _check_split),
+                  partial(_check_theorem, "thm_split")),
     "thm_universal": (_chordal_upto, 7,
                       lambda g: not g.is_complete() and bool(universal_vertices(g)),
-                      _check_universal),
-    "cor_sun_or_hole": (_graphs_upto, 7, _minimal_above_half, _check_sun_or_hole),
-    "cor_split_obstructions": (_graphs_upto, 7, _minimal_above_half,
+                      partial(_check_theorem, "thm_universal")),
+    "cor_sun_or_hole": (_graphs_upto, 7, lambda g: _minimally_tough_in(g, exceeds_half),
+                        _check_sun_or_hole),
+    "cor_split_obstructions": (_graphs_upto, 7, lambda g: _minimally_tough_in(g, exceeds_half),
                                _check_split_obstructions),
     "thm_stars": (_graphs_upto, 7,
                   lambda g: _nontrivial(g) and bool(universal_vertices(g))

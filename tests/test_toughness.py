@@ -173,6 +173,15 @@ class TestIsTTough:
     def test_complete_is_t_tough_for_all(self):
         assert is_t_tough(complete(4), Fraction(100))
 
+    @pytest.mark.parametrize("check, t", [
+        (is_t_tough, INFINITY), (check_sufficient_condition, INFINITY),
+        (is_t_tough, Fraction(-1)), (check_sufficient_condition, Fraction(-1)),
+        (is_t_tough, 0.5), (check_sufficient_condition, 0.5),
+    ])
+    def test_rejects_threshold_not_finite_nonnegative_fraction(self, check, t):
+        with pytest.raises(GraphError, match="threshold"):
+            check(path(4), t)
+
     def test_matches_toughness_up_to_5(self):
         probes = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
                   Fraction(1), Fraction(3, 2), Fraction(2)]

@@ -8,21 +8,25 @@ from fractions import Fraction
 
 import pytest
 
-from toughlab.families import cycle, wheel
+from toughlab.families import cycle, k_sun, star, wheel
 from toughlab.graphs import (
     GraphError,
     bits,
     canonical_graph,
     components,
     connected_chordal_reps,
+    from_edges,
     graph_reps,
     level_map,
     to_graph6,
 )
+from toughlab.recognize import ClassVerdict
+from toughlab.toughness import Minimality, MinimalityResult
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
     SEVERITY_FINDING,
     SEVERITY_VIOLATION,
+    THEOREMS,
     CheckReport,
     ScanReport,
     SUITES,
@@ -79,6 +83,21 @@ class TestRunSuite:
         assert report.graphs_checked == 9 and not report.passed
         assert len({g6 for g6, _ in report.violations}) == len(report.violations) == 9
         assert {d for _, d in report.violations} == {"no induced C4, C5, or 2K2"}
+
+    @pytest.mark.parametrize("name", THEOREMS)
+    def test_theorem_suites_report_their_row(self, monkeypatch, name):
+        # with the kernel calling every graph minimally tough at a tau in the
+        # row's range, every kept graph of the row's class is a violation
+        cls, member, in_range, text = THEOREMS[name]
+        for tau in filter(in_range, (Fraction(1), Fraction(3, 2))):
+            monkeypatch.setattr("toughlab.verify.is_minimally_tough",
+                                lambda g: MinimalityResult(Minimality.MINIMALLY_TOUGH, tau))
+            report = run_suite(name, 5)
+            members = [g for n in range(1, 6) for g in connected_chordal_reps(n)
+                       if not g.is_complete() and member(g)]
+            assert sorted(g6 for g6, _ in report.violations) == sorted(map(to_graph6, members))
+            assert {d for _, d in report.violations} == {
+                f"{cls} and minimally {tau}-tough with tau {text}"}
 
     def test_separator_generator_cross_checked(self, monkeypatch):
         # the seed step alone, N(C) for the components C of G - N[v], misses
@@ -219,6 +238,34 @@ class TestClassification:
         from toughlab.families import star
         severity, detail = classify_counterexample(to_graph6(star(3)), Fraction(1))
         assert severity == SEVERITY_VIOLATION and "(1/2,1]" in detail
+
+    # one hit per THEOREMS row: in the row's class and range, missing every
+    # earlier row's class or range
+    ROW_HITS = {
+        "thm_chordal_interval": (star(3), Fraction(1)),
+        "thm_strongly_chordal": (star(3), Fraction(3, 2)),
+        "thm_split": (k_sun(3), Fraction(3, 2)),
+        # a cone over the 3-sun with a pendant vertex: an induced 3-sun and 2K2
+        "thm_universal": (from_edges(8, list(k_sun(3).edges()) + [(6, 3)]
+                                     + [(7, v) for v in range(7)]), Fraction(3, 2)),
+    }
+
+    @pytest.mark.parametrize("name", THEOREMS)
+    def test_hit_violates_its_theorem_row(self, name):
+        g, tau = self.ROW_HITS[name]
+        cls, _, _, text = THEOREMS[name]
+        assert classify_counterexample(to_graph6(g), tau) == (
+            SEVERITY_VIOLATION, f"{cls} and minimally {tau}-tough with tau {text}")
+
+    def test_recognizer_patch_reaches_classifier(self, monkeypatch):
+        g, tau = self.ROW_HITS["thm_split"]
+        monkeypatch.setattr("toughlab.verify.is_split", lambda g: ClassVerdict(False))
+        assert classify_counterexample(to_graph6(g), tau)[0] == SEVERITY_CANDIDATE
+
+    @pytest.mark.parametrize("tau", [Fraction(1, 3), Fraction(1, 2)])
+    def test_rejects_tau_at_most_half(self, tau):
+        with pytest.raises(GraphError, match="tau > 1/2"):
+            classify_counterexample(to_graph6(star(3)), tau)
 
     def test_hypothetical_chordal_high_hit_severity(self):
         # chordal, tau > 1, neither split nor strongly chordal nor universal:
