@@ -86,7 +86,9 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run registered theorem suites")
     verify.add_argument("--suite", default="all",
                         help="suite name or 'all' (see --list)")
-    verify.add_argument("--max-n", type=int, default=None, dest="max_n")
+    verify.add_argument("--max-n", type=int, default=None, dest="max_n",
+                        help="largest vertex count checked, families included "
+                        "(default: each suite's bound, which also caps it for 'all')")
     verify.add_argument("--list", action="store_true", help="list suite names")
     verify.add_argument("--json", action="store_true")
     return parser

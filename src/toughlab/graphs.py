@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 MAX_VERTICES = 64
 GRAPH6_MAX_VERTICES = 62  # short form: length byte 63+n must stay below '~' (126)
@@ -300,22 +300,6 @@ def read_graph6_lines(source) -> Iterator[Graph]:
 # exploring every non-equivalent completion and taking the least key.
 # ---------------------------------------------------------------------------
 
-def _twin_partition(g: Graph) -> tuple[int, ...]:
-    """Least member of each vertex's twin class (u, v twins: N(u)-{v} == N(v)-{u}).
-
-    True twins (N[u] == N[v]) and false twins (N(u) == N(v)) each form
-    classes, and no vertex has both kinds: a true twin u of v lies in
-    N(v) = N(w) for a false twin w of v, putting w in N[u] = N[v], yet w is
-    not adjacent to v. So one of v's two classes is {v} and min picks the other.
-    """
-    first_closed: dict[int, int] = {}
-    first_open: dict[int, int] = {}
-    for v in range(g.n):
-        first_closed.setdefault(g.closed(v), v)
-        first_open.setdefault(g.adj[v], v)
-    return tuple(min(first_closed[g.closed(v)], first_open[g.adj[v]]) for v in range(g.n))
-
-
 def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
     """Recolor each vertex by the rank of (its color, its neighbors' sorted
     colors) until no class splits; the result numbers the classes densely.
@@ -345,46 +329,42 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
     n = g.n
     adj = g.adj
     neighbors = [tuple(bits(row)) for row in adj]
-    twin = _twin_partition(g)
-    best_key: Optional[tuple[int, ...]] = None
+    best_key = 1 << n * (n - 1) // 2  # above every key
     best_order: tuple[int, ...] = tuple(range(n))
 
     def leaf_key(order):
-        cols = []
+        # column j (the j vertices before order[j]) takes j bits, so the int
+        # orders leaves as the tuple of columns would
+        key = 0
         for j in range(1, n):
             vj = order[j]
-            col = 0
             for i in range(j):
-                col = col << 1 | (adj[order[i]] >> vj & 1)
-            cols.append(col)
-        return tuple(cols)
+                key = key << 1 | (adj[order[i]] >> vj & 1)
+        return key
 
     def descend(colors):
         nonlocal best_key, best_order
-        counts = [0] * n  # refined colors are dense: 0..classes-1
-        for c in colors:
-            counts[c] += 1
-        target = next((c for c, k in enumerate(counts) if k > 1), None)
+        # refined colors are dense, so the classes are 0..max(colors)
+        target = next((c for c in range(n) if colors.count(c) > 1), None)
         if target is None:
             order = tuple(sorted(range(n), key=colors.__getitem__))
             key = leaf_key(order)
-            if best_key is None or key < best_key:
+            if key < best_key:
                 best_key, best_order = key, order
             return
-        seen_twins = set()
+        tried = []
         doubled = [c * 2 for c in colors]
         for v in range(n):
-            if colors[v] != target or twin[v] in seen_twins:
+            if colors[v] != target or any(
+                    not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) for u in tried):
                 continue
-            seen_twins.add(twin[v])
+            tried.append(v)
             doubled[v] += 1
             descend(_refine(neighbors, tuple(doubled)))
             doubled[v] -= 1
 
-    # the first round from the uniform coloring ranks the vertices by degree
-    degrees = [row.bit_count() for row in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    descend(_refine(neighbors, tuple(map(rank.__getitem__, degrees))))
+    # _refine only ranks signatures, so raw degrees start it as their ranks would
+    descend(_refine(neighbors, tuple(row.bit_count() for row in adj)))
     return best_order
 
 

@@ -12,7 +12,11 @@ from fractions import Fraction
 
 
 class ToughnessInfinity:
-    """Toughness of complete graphs; compares strictly above every fraction."""
+    """Toughness of complete graphs; compares strictly above every fraction.
+
+    The one instance is INFINITY: pickle and copy rebuild it through __new__,
+    so equality and hashing by identity are exact.
+    """
 
     _instance = None
 
@@ -23,12 +27,6 @@ class ToughnessInfinity:
 
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("toughness infinity")
 
     def __lt__(self, other):
         return False

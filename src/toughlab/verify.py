@@ -270,8 +270,8 @@ def _wheels_upto(n_max):
         yield wheel(n)
 
 
-def _matched_cliques_upto(k_max):
-    for k in range(3, k_max + 1):
+def _matched_cliques_upto(n_max):
+    for k in range(3, n_max // 2 + 1):
         yield matched_cliques(k)
 
 
@@ -518,7 +518,7 @@ SUITES: dict[str, Suite] = {
                   and at_most_one(toughness(g)),
                   _check_stars),
     "family_wheels": (_wheels_upto, 10, _any, _check_wheel),
-    "family_matched_cliques": (_matched_cliques_upto, 4, _any, _check_matched_cliques),
+    "family_matched_cliques": (_matched_cliques_upto, 8, _any, _check_matched_cliques),
 }
 
 

@@ -1,10 +1,14 @@
-"""Dead-code guard over the package source, on the standard library's ast.
+"""Dead-code guard over the package source and the tests, on the standard
+library's ast.
 
-A module other than __init__.py fails when it keeps a top-level import that
-it never reads, or a private module-level function that nothing in the
-package references outside the function's own body. A name read from a
-string constant (such as an enumerator looked up with globals()) counts as a
-reference.
+A package module other than __init__.py fails when it keeps a top-level
+import that it never reads, or a private module-level function that nothing
+in the package references outside the function's own body. A test module
+fails on an unused top-level import too, or on a module-level helper, any
+function not named test_*, that nothing else in the module references. A
+name counts as read through a bare name or a string constant (such as an
+enumerator looked up with globals()), never through an attribute that only
+shares its name.
 """
 
 import ast
@@ -12,22 +16,26 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toughlab"
-TREES = {path.name: ast.parse(path.read_text(), str(path))
-         for path in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _parse(directory: Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
+TREES = _parse(ROOT / "src" / "toughlab")
 CHECKED = [name for name in TREES if name != "__init__.py"]
+TEST_TREES = _parse(ROOT / "tests")
 
 
 def _references(nodes) -> set[str]:
-    """Names read anywhere under the nodes: bare names, attribute names and
-    string constants."""
+    """Names read anywhere under the nodes: bare names and string constants."""
     found = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 found.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 found.add(sub.value)
     return found
@@ -41,9 +49,17 @@ def _imported_names(stmt) -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("module", CHECKED)
+def _functions(body) -> list[ast.FunctionDef]:
+    return [stmt for stmt in body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _referenced_elsewhere(stmt, body) -> bool:
+    return stmt.name in _references(other for other in body if other is not stmt)
+
+
+@pytest.mark.parametrize("module", CHECKED + list(TEST_TREES))
 def test_no_unused_top_level_import(module):
-    tree = TREES[module]
+    tree = TREES[module] if module in CHECKED else TEST_TREES[module]
     body = [stmt for stmt in tree.body if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
     used = _references(body)
     unused = [name for stmt in tree.body for name in _imported_names(stmt) if name not in used]
@@ -54,9 +70,15 @@ def test_no_unused_top_level_import(module):
 def test_every_private_function_is_referenced(module):
     elsewhere = _references(tree for name, tree in TREES.items() if name != module)
     body = TREES[module].body
-    dead = [stmt.name for stmt in body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.name.startswith("_") and not stmt.name.startswith("__")
-            and stmt.name not in elsewhere
-            and stmt.name not in _references(other for other in body if other is not stmt)]
+    dead = [stmt.name for stmt in _functions(body)
+            if stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and stmt.name not in elsewhere and not _referenced_elsewhere(stmt, body)]
     assert dead == [], f"{module} defines private functions nothing references: {dead}"
+
+
+@pytest.mark.parametrize("module", TEST_TREES)
+def test_every_test_helper_is_referenced(module):
+    body = TEST_TREES[module].body
+    dead = [stmt.name for stmt in _functions(body)
+            if not stmt.name.startswith("test_") and not _referenced_elsewhere(stmt, body)]
+    assert dead == [], f"{module} defines helpers nothing in it references: {dead}"

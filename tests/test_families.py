@@ -19,7 +19,7 @@ from toughlab.families import (
 )
 from toughlab.graphs import GraphError, mask_of
 from toughlab.recognize import find_induced_claw, is_split, is_strongly_chordal
-from toughlab.toughness import Minimality, is_minimally_tough, toughness, vertex_connectivity
+from toughlab.toughness import Minimality, is_minimally_tough, vertex_connectivity
 
 
 class TestConstructions:

@@ -11,6 +11,8 @@ from itertools import combinations, permutations
 
 import pytest
 
+from toughlab import graphs
+from toughlab.families import complete, cycle, star, wheel
 from toughlab.graphs import (
     Graph,
     Graph6Error,
@@ -29,7 +31,7 @@ from toughlab.graphs import (
     subsets,
     to_graph6,
 )
-from toughlab.graphs import _augment, _twin_partition
+from toughlab.graphs import _augment
 
 
 def brute_isomorphic(g, h):
@@ -60,20 +62,10 @@ def sweep_classes(n):
     return reps
 
 
-def twin_closure(g):
-    """Oracle: union-find closure of twin swaps (N(u)-{v} == N(v)-{u}),
-    each vertex named by the least member of its class."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for u, v in combinations(range(g.n), 2):
-        if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-            parent[max(find(u), find(v))] = min(find(u), find(v))
-    return tuple(find(v) for v in range(g.n))
+def complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return from_edges(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                                  if part[u] != part[v]])
 
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -294,10 +286,25 @@ class TestCanonical:
             rng.shuffle(order)
             assert canonical_key(relabel(g, order)) == canonical_key(g)
 
-    def test_twin_partition_matches_closure_up_to_6(self):
-        for n in range(1, 7):
-            for g in labeled_graphs(n):
-                assert _twin_partition(g) == twin_closure(g), g
+    @pytest.mark.parametrize("g, calls", [
+        (complete(11), 11), (star(10), 10), (complete_multipartite(5, 6), 10),
+        (complete_multipartite(3, 4, 4), 17), (cycle(11), 34), (wheel(11), 31),
+    ])
+    def test_twin_pruning_bounds_the_search(self, monkeypatch, g, calls):
+        # without pruning twins, K_11 alone would branch 11! times; the
+        # counter fails at its cap instead of letting a lost prune hang
+        refine = graphs._refine
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            if len(made) > 200:
+                raise RuntimeError("over 200 refinements: twin pruning lost")
+            return refine(*args)
+
+        monkeypatch.setattr(graphs, "_refine", counted)
+        canonical_graph(g)
+        assert len(made) == calls
 
     def test_canonical_graph_is_isomorphic_to_input(self):
         for g in graph_reps(5)[::5]:
@@ -325,6 +332,23 @@ class TestEnumeration:
         reps = graph_reps(5)
         for g, h in combinations(reps, 2):
             assert not brute_isomorphic(g, h)
+
+    @pytest.mark.parametrize("reps, n_max", [(graph_reps, 7), (connected_chordal_reps, 8)])
+    def test_classes_pairwise_nonisomorphic_by_networkx(self, reps, n_max):
+        # networkx as an outside oracle; only classes with equal sorted
+        # (degree, triangle count) pairs can be isomorphic, so only those meet
+        nx = pytest.importorskip("networkx")
+        groups = {}
+        for n in range(1, n_max + 1):
+            for g in reps(n):
+                h = nx.Graph(g.edges())
+                h.add_nodes_from(range(n))
+                triangles = nx.triangles(h)
+                invariant = tuple(sorted((h.degree(v), triangles[v]) for v in h))
+                groups.setdefault(invariant, []).append(h)
+        for group in groups.values():
+            for a, b in combinations(group, 2):
+                assert not nx.is_isomorphic(a, b), (sorted(a.edges()), sorted(b.edges()))
 
     def test_emission_sorted_by_canonical_key(self):
         keys = [to_graph6(g) for g in graph_reps(5)]

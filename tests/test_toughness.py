@@ -496,6 +496,24 @@ class TestExactArithmetic:
         assert is_t_tough(p3, Fraction(1, 2))
         assert not is_t_tough(p3, just_over)
 
+    def test_infinity_is_one_object(self):
+        import copy
+        import multiprocessing
+        import pickle
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY
+        assert INFINITY == INFINITY and not INFINITY != INFINITY
+        assert INFINITY != Fraction(5) and Fraction(5) != INFINITY
+        assert not INFINITY == Fraction(5) and not Fraction(5) == INFINITY
+        assert {INFINITY: 1}[INFINITY] == 1
+        five = Fraction(5)
+        assert INFINITY > five and INFINITY >= five and five < INFINITY and five <= INFINITY
+        assert not (INFINITY < five or INFINITY <= five or five > INFINITY or five >= INFINITY)
+        assert INFINITY <= INFINITY and INFINITY >= INFINITY
+        assert not (INFINITY < INFINITY or INFINITY > INFINITY)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            assert pool.apply(toughness, (complete(4),)) is INFINITY
+
 
 class TestFamilyValues:
     def test_matched_cliques_toughness(self):

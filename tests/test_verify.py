@@ -66,7 +66,7 @@ class TestRunSuite:
             "thm_chordal_interval": 26, "lemma_moplicial_neighbors": 19,
             "thm_strongly_chordal": 19, "thm_split": 16, "thm_universal": 13,
             "cor_sun_or_hole": 4, "cor_split_obstructions": 4, "thm_stars": 12,
-            "family_wheels": 1, "family_matched_cliques": 2,
+            "family_wheels": 1, "family_matched_cliques": 0,
         }
         assert list(checked) == suite_names()
         for name in suite_names():
@@ -74,6 +74,12 @@ class TestRunSuite:
             report = run_suite(name, min(5, bound))
             assert report.passed, f"{name}: {report.violations[:3]}"
             assert report.graphs_checked == checked[name], name
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_bound_counts_vertices(self, name):
+        # n_max bounds the vertex count in every suite, families included
+        source = SUITES[name][0]
+        assert max((g.n for g in source(5)), default=0) <= 5
 
     def test_violation_reported_with_reproducer(self, monkeypatch):
         # with the obstruction finder broken, every minimally tough graph
