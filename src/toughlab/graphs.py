@@ -200,15 +200,17 @@ def separates(comps: list[int], u: int, v: int) -> bool:
     return False
 
 
-def separating_cuts(g: Graph, u: int, v: int, max_size: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (S, components(g, S)) for every S avoiding u and v with
-    |S| <= max_size that leaves u and v in different components of g - S.
+def separating_cuts(g: Graph, u: int, v: int, max_size: int,
+                    pool: int = -1) -> Iterator[tuple[int, list[int]]]:
+    """Yield (S, components(g, S)) for every S inside pool, avoiding u and v,
+    with |S| <= max_size that leaves u and v in different components of g - S.
 
-    Cuts come by increasing size, then increasing mask. This is the walk of
-    every edge and vertex-pair search; each size-k step costs C(n-2, k)
-    component computations.
+    pool is a vertex mask, every vertex by default. Cuts come by increasing
+    size, then increasing mask. This is the walk of every edge and
+    vertex-pair search; each size-k step costs C(p, k) component
+    computations, p the pool's size without u and v.
     """
-    pool = g.full_mask & ~(1 << u) & ~(1 << v)
+    pool &= g.full_mask & ~(1 << u) & ~(1 << v)
     for size in range(max_size + 1):
         for s in subsets(pool, size):
             comps = components(g, s)

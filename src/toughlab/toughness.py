@@ -15,6 +15,10 @@ omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
 deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
 leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
 for such an S stops at the first one, or at size k once k >= t*(n-k).
+The toughness, edge and connectivity walks skip simplicial vertices (those
+whose neighbourhood is a clique; a chordal graph has them): N(w) - S lies in
+one component of G - S at most, so S - w keeps every component apart with
+one vertex less, and no smallest or minimizing cut holds w.
 Every comparison of ratios or thresholds (a better cut, the size bound,
 >= 2t+1, >= t*(omega+1), ...) is cross-multiplied in integers; no division
 and no float is ever involved in a decision.
@@ -63,6 +67,13 @@ class MinimalityResult:
     witness_edge: Optional[tuple[int, int]] = None
 
 
+def _simplicial(g: Graph) -> int:
+    """Mask of the vertices whose neighbourhood is a clique."""
+    adj = g.adj
+    return sum(1 << v for v, hood in enumerate(adj)
+               if all(hood & ~adj[w] == 1 << w for w in bits(hood)))
+
+
 def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitness]]:
     """Exact toughness with a minimizing cut (None for complete graphs).
 
@@ -72,12 +83,13 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitne
     if g.is_complete():
         return INFINITY, None
     n = g.n
+    pool = g.full_mask & ~_simplicial(g)
     best, best_size, best_parts = 0, 1, 0
     for size in range(n - 1):
         # even omega = n - size cannot beat the current best at this size
         if size * best_parts >= best_size * (n - size):
             break
-        for cut in subsets(g.full_mask, size):
+        for cut in subsets(pool, size):
             parts = len(components(g, cut))
             if parts > 1 and size * best_parts < best_size * parts:
                 best, best_size, best_parts = cut, size, parts
@@ -122,8 +134,9 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
     off. Cuts are tried in increasing size and the first one settles the
     edge; S = 0 covers bridges. At size k no cut qualifies once
     k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
-    k with k*den < num*(n-k). witness_edge is the first edge in
-    ``g.edges()`` order that no cut lowers.
+    k with k*den < num*(n-k). The walk skips the simplicial vertices of
+    G-uv: those of G that are not common neighbours of u and v. witness_edge
+    is the first edge in ``g.edges()`` order that no cut lowers.
     """
     if g.is_complete():
         return MinimalityResult(Minimality.COMPLETE, INFINITY)
@@ -132,8 +145,10 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
     t = toughness(g) if tau is None else tau
     num, den = t.numerator, t.denominator
     largest = (num * g.n - 1) // (num + den)
+    simplicial = _simplicial(g)
     for u, v in g.edges():
-        for s, comps in separating_cuts(g.without_edge(u, v), u, v, largest):
+        pool = ~(simplicial & ~(g.adj[u] & g.adj[v]))
+        for s, comps in separating_cuts(g.without_edge(u, v), u, v, largest, pool):
             if s.bit_count() * den < num * len(comps):
                 break
         else:
@@ -158,8 +173,9 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     edge = g.has_edge(u, v)
     if edge:
         g = g.without_edge(u, v)
-    # V - {u, v} separates u from v once they are not adjacent
-    cut, _ = next(separating_cuts(g, u, v, g.n - 2))
+    # V - {u, v} separates u from v once they are not adjacent, and a
+    # smallest separator holds no simplicial vertex
+    cut, _ = next(separating_cuts(g, u, v, g.n - 2, ~_simplicial(g)))
     return edge + cut.bit_count()
 
 
@@ -171,14 +187,21 @@ def vertex_connectivity(g: Graph) -> int:
     """
     if g.is_complete():
         return g.n - 1
-    # a noncomplete graph has a nonadjacent pair, which V minus the pair disconnects
+    # a noncomplete graph has a nonadjacent pair, which V minus the pair
+    # disconnects, and a smallest disconnecting set holds no simplicial vertex
+    pool = g.full_mask & ~_simplicial(g)
     return next(size for size in range(g.n - 1)
-                for s in subsets(g.full_mask, size) if len(components(g, s)) > 1)
+                for s in subsets(pool, size) if len(components(g, s)) > 1)
 
 
 # ---------------------------------------------------------------------------
 # Characterization of non-minimally tough graphs
 # ---------------------------------------------------------------------------
+# These walks keep every vertex and skip no simplicial one. A witness set
+# must also meet omega(G-S) <= |S|/t, which dropping a vertex from S can
+# break, so the least witness may hold a simplicial vertex. And the
+# unrestricted condition 2 is what its restricted variant is checked
+# against, so it must not assume the restriction.
 
 def _condition2(g: Graph, u: int, v: int, num: int, den: int,
                 restricted: bool) -> bool:

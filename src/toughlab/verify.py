@@ -197,9 +197,14 @@ def scan_bound(class_filter: str) -> int:
 
 
 def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
-    result = is_minimally_tough(parse_graph6(g6))
-    if result.verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(result.toughness):
-        return g6, result.toughness
+    """(g6, tau) when the class is a hit, minimally tough with tau > 1/2;
+    the edge test runs only once tau > 1/2 is known."""
+    g = parse_graph6(g6)
+    tau = toughness(g)
+    if not exceeds_half(tau):
+        return None
+    if is_minimally_tough(g, tau=tau).verdict is Minimality.MINIMALLY_TOUGH:
+        return g6, tau
     return None
 
 

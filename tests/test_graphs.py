@@ -253,6 +253,15 @@ class TestSeparatingCuts:
                         expected = [(s, components(g, s)) for size, s in cuts if size <= max_size]
                         assert list(separating_cuts(g, u, v, max_size)) == expected, (g, u, v)
 
+    def test_pool_keeps_only_the_cuts_inside_it_up_to_5(self):
+        for n in range(2, 6):
+            for g in graph_reps(n):
+                for u, v in combinations(range(n), 2):
+                    walk = list(separating_cuts(g, u, v, n))
+                    for pool in range(-1, 1 << n):
+                        inside = [(s, comps) for s, comps in walk if not s & ~pool]
+                        assert list(separating_cuts(g, u, v, n, pool)) == inside, (g, u, v, pool)
+
 
 def canonical_key(g):
     return to_graph6(canonical_graph(g))

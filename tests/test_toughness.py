@@ -4,13 +4,13 @@ against per-edge recomputation, the characterization machinery, and
 properties on random graphs."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toughlab.chordal import minimal_separators
+from toughlab.chordal import is_chordal, minimal_separators
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
@@ -28,6 +28,7 @@ from toughlab.rational import INFINITY
 from toughlab.toughness import (
     Minimality,
     MinimalityResult,
+    ToughnessWitness,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,
@@ -72,6 +73,26 @@ def recomputed_minimality(g):
     edge = _not_minimal_by_recomputation(g)
     verdict = Minimality.MINIMALLY_TOUGH if edge is None else Minimality.NOT_MINIMAL
     return MinimalityResult(verdict, toughness(g), edge)
+
+
+def unpruned_toughness_witness(g):
+    """toughness_witness walking every vertex: same size bound, same
+    least-size, least-mask tie-break."""
+    if g.is_complete():
+        return INFINITY, None
+    n = g.n
+    best, best_size, best_parts = 0, 1, 0
+    for size in range(n - 1):
+        if size * best_parts >= best_size * (n - size):
+            break
+        for cut in range(1 << n):
+            if cut.bit_count() != size:
+                continue
+            parts = len(components(g, cut))
+            if parts > 1 and size * best_parts < best_size * parts:
+                best, best_size, best_parts = cut, size, parts
+    value = Fraction(best_size, best_parts)
+    return value, ToughnessWitness(best, best_parts, value)
 
 
 def all_simple_paths(g, u, v):
@@ -134,7 +155,9 @@ class TestToughness:
             assert toughness(g) == toughness_oracle(g)
 
     def test_witness_validity_up_to_7(self):
-        for g in _reps_through(7):
+        # and on the connected chordal classes at 8, where simplicial
+        # vertices are skipped most
+        for g in chain(_reps_through(7), connected_chordal_reps(8)):
             value, witness = toughness_witness(g)
             if witness is None:
                 assert g.is_complete()
@@ -526,9 +549,9 @@ class TestFamilyValues:
             assert toughness(wheel(n)) == expected
 
 
-# Random graphs with at most 9 vertices. Each test is derandomized, with a
-# fixed example budget and no example database, so every run draws the same
-# graphs.
+# Random graphs with at most 9 vertices, and random chordal graphs on 10 to
+# 12. Each test is derandomized, with a fixed example budget and no example
+# database, so every run draws the same graphs.
 bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
@@ -538,6 +561,28 @@ def random_graphs(draw):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edges(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def random_chordal_graphs(draw):
+    """Connected chordal graph on 10 to 12 vertices, randomly labeled. Each
+    new vertex joins a clique of the earlier ones that holds a drawn anchor,
+    so the reverse insertion order is a perfect elimination ordering. A
+    vertex that could grow the clique joins it with a drawn odds of 1 to 4
+    in 5, so the graphs range from near-trees to near-complete."""
+    n = draw(st.integers(10, 12))
+    odds = draw(st.integers(1, 4))
+    adj = [0] * n
+    for i in range(1, n):
+        clique = 1 << draw(st.integers(0, i - 1))
+        for w in range(i):
+            if not clique & ~adj[w] and draw(st.integers(0, 4)) < odds:
+                clique |= 1 << w
+        adj[i] = clique
+        for w in bits(clique):
+            adj[w] |= 1 << i
+    edges = [(v, w) for v in range(n) for w in bits(adj[v]) if v < w]
+    return relabel(from_edges(n, edges), draw(st.permutations(range(n))))
 
 
 @st.composite
@@ -590,3 +635,27 @@ class TestRandomGraphProperties:
     @given(random_graphs())
     def test_graph6_round_trip(self, g):
         assert parse_graph6(to_graph6(g)) == g
+
+    @bounded
+    @given(st.one_of(random_graphs(), random_chordal_graphs()))
+    def test_toughness_at_most_half_connectivity(self, g):
+        if g.is_complete():
+            return
+        t = toughness(g)
+        assert 2 * t.numerator <= vertex_connectivity(g) * t.denominator
+
+
+class TestRandomChordalGraphs:
+    """Past the enumerated range: chordal graphs on 10 to 12 vertices, where
+    the cut walks skip the most vertices."""
+
+    @bounded
+    @given(random_chordal_graphs())
+    def test_witness_matches_unpruned_walk(self, g):
+        assert is_chordal(g) and g.is_connected()
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+
+    @bounded
+    @given(random_chordal_graphs())
+    def test_minimality_matches_recomputation(self, g):
+        assert is_minimally_tough(g) == recomputed_minimality(g)

@@ -20,8 +20,15 @@ from toughlab.graphs import (
     level_map,
     to_graph6,
 )
+from toughlab.rational import exceeds_half
 from toughlab.recognize import ClassVerdict
-from toughlab.toughness import Minimality, MinimalityResult
+from toughlab.toughness import (
+    Minimality,
+    MinimalityResult,
+    is_minimally_tough,
+    toughness,
+    toughness_witness,
+)
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
     SEVERITY_FINDING,
@@ -157,8 +164,6 @@ class TestScan:
 
     def test_counterexamples_reverify_from_graph6(self):
         from toughlab.graphs import parse_graph6
-        from toughlab.rational import exceeds_half
-        from toughlab.toughness import Minimality, is_minimally_tough
         report = scan_conjecture(6, "all")
         for g6, tau in report.counterexamples:
             g = parse_graph6(g6)
@@ -166,6 +171,24 @@ class TestScan:
             result = is_minimally_tough(g)
             assert result.verdict is Minimality.MINIMALLY_TOUGH
             assert result.toughness == tau and exceeds_half(tau)
+
+    def test_worker_matches_its_definition(self):
+        # a hit is minimally tough with tau > 1/2; the definitional answer is
+        # computed by the uncached kernel, and the worker starts from empty
+        # caches, so neither reads the other's results
+        toughness.cache_clear()
+        is_minimally_tough.cache_clear()
+        graphs = [g for n in range(1, 8) for g in graph_reps(n) if g.is_connected()]
+        graphs += [g for n in range(1, 9) for g in connected_chordal_reps(n)]
+        hits = 0
+        for g in graphs:
+            tau = toughness_witness(g)[0]
+            verdict = is_minimally_tough.__wrapped__(g, tau=tau).verdict
+            hit = verdict is Minimality.MINIMALLY_TOUGH and exceeds_half(tau)
+            g6 = to_graph6(g)
+            assert _scan_worker(g6) == ((g6, tau) if hit else None), g6
+            hits += hit
+        assert hits > 0  # the wheels, among the non-chordal classes
 
     def test_scan_bound(self):
         with pytest.raises(GraphError):
