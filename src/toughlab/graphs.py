@@ -200,6 +200,13 @@ def separates(comps: list[int], u: int, v: int) -> bool:
     return False
 
 
+def simplicial_mask(g: Graph) -> int:
+    """Mask of the vertices whose neighbourhood is a clique."""
+    adj = g.adj
+    return sum(1 << v for v, hood in enumerate(adj)
+               if all(hood & ~adj[w] == 1 << w for w in bits(hood)))
+
+
 def separating_cuts(g: Graph, u: int, v: int, max_size: int,
                     pool: int = -1) -> Iterator[tuple[int, list[int]]]:
     """Yield (S, components(g, S)) for every S inside pool, avoiding u and v,
@@ -403,8 +410,39 @@ def _augment(parent: Graph, neighborhood: int) -> Graph:
     return Graph._unchecked(n, rows)
 
 
-def _children(parent: Graph, neighborhoods: Iterable[int]) -> set[str]:
-    return {to_graph6(canonical_graph(_augment(parent, nb))) for nb in neighborhoods}
+def _children(parent: Graph, neighborhoods: Iterable[int],
+              simplicial: int | None = None) -> set[str]:
+    """Canonical graph6 keys of parent grown by a new vertex x over each
+    neighborhood K, labeling a child only when no other deletable vertex
+    has a larger invariant than x: its degree, then its sorted neighbour
+    degrees. Every vertex is deletable, or only the simplicial ones when
+    simplicial, the parent's simplicial mask, is given. No class C is lost:
+    for a deletable w of C with the largest invariant, the representative
+    of C - w grown over the image of N(w) is C with x in w's place. The
+    degree test reads the parent: u has child degree deg(u) + [u in K] and
+    is simplicial in the child iff it is in the parent and, if u is in K,
+    N(u) lies in K.
+    """
+    adj = parent.adj
+    # at_least[k]: the parent's vertices of degree >= k; [-1] is empty
+    at_least = [sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= k)
+                for k in range(parent.n + 2)]
+    keys = set()
+    for nb in neighborhoods:
+        d = nb.bit_count()
+        deletable = -1 if simplicial is None else simplicial & ~sum(
+            1 << u for u in bits(simplicial & nb) if adj[u] & ~nb)
+        if (at_least[d + 1] & ~nb | at_least[d] & nb) & deletable:  # a larger degree
+            continue
+        tied = (at_least[d] & ~nb | at_least[d - 1] & nb) & deletable
+        child = _augment(parent, nb)
+        if tied:
+            degree = [row.bit_count() for row in child.adj]
+            mine = sorted(degree[v] for v in bits(nb))
+            if any(sorted(degree[v] for v in bits(child.adj[u])) > mine for u in bits(tied)):
+                continue
+        keys.add(to_graph6(canonical_graph(child)))
+    return keys
 
 
 def _any_children(parent: Graph) -> set[str]:
@@ -414,7 +452,7 @@ def _any_children(parent: Graph) -> set[str]:
 
 def _chordal_children(parent: Graph) -> set[str]:
     """Canonical graph6 keys of parent grown by a simplicial vertex."""
-    return _children(parent, clique_masks(parent)[1:])  # [0] is empty
+    return _children(parent, clique_masks(parent)[1:], simplicial_mask(parent))  # [0] is empty
 
 
 # How an enumeration level maps its children worker over the parents: the
@@ -489,6 +527,10 @@ def connected_chordal_reps(n: int) -> tuple[Graph, ...]:
     Every connected chordal graph on n >= 2 vertices arises from a connected
     chordal graph on n-1 vertices by attaching a vertex whose neighborhood is
     a nonempty clique (reverse perfect elimination), so growing over all
-    nonempty clique masks and deduplicating is exhaustive.
+    nonempty clique masks and deduplicating is exhaustive. Labeling only the
+    children whose new vertex has the largest invariant among their
+    simplicial vertices loses no class: deleting a simplicial w of the
+    largest leaves a connected chordal graph, whose representative grown over
+    N(w) gives the class back (``_children``).
     """
     return _augmented_reps(n, connected_chordal_reps, _chordal_children)

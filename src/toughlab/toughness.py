@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, components, separating_cuts, subsets
+from .graphs import (Graph, GraphError, bits, components, separating_cuts, simplicial_mask,
+                     subsets)
 from .rational import INFINITY, ToughnessValue, is_finite
 
 
@@ -67,13 +68,6 @@ class MinimalityResult:
     witness_edge: Optional[tuple[int, int]] = None
 
 
-def _simplicial(g: Graph) -> int:
-    """Mask of the vertices whose neighbourhood is a clique."""
-    adj = g.adj
-    return sum(1 << v for v, hood in enumerate(adj)
-               if all(hood & ~adj[w] == 1 << w for w in bits(hood)))
-
-
 def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitness]]:
     """Exact toughness with a minimizing cut (None for complete graphs).
 
@@ -83,7 +77,7 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitne
     if g.is_complete():
         return INFINITY, None
     n = g.n
-    pool = g.full_mask & ~_simplicial(g)
+    pool = g.full_mask & ~simplicial_mask(g)
     best, best_size, best_parts = 0, 1, 0
     for size in range(n - 1):
         # even omega = n - size cannot beat the current best at this size
@@ -145,7 +139,7 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
     t = toughness(g) if tau is None else tau
     num, den = t.numerator, t.denominator
     largest = (num * g.n - 1) // (num + den)
-    simplicial = _simplicial(g)
+    simplicial = simplicial_mask(g)
     for u, v in g.edges():
         pool = ~(simplicial & ~(g.adj[u] & g.adj[v]))
         for s, comps in separating_cuts(g.without_edge(u, v), u, v, largest, pool):
@@ -175,7 +169,7 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
         g = g.without_edge(u, v)
     # V - {u, v} separates u from v once they are not adjacent, and a
     # smallest separator holds no simplicial vertex
-    cut, _ = next(separating_cuts(g, u, v, g.n - 2, ~_simplicial(g)))
+    cut, _ = next(separating_cuts(g, u, v, g.n - 2, ~simplicial_mask(g)))
     return edge + cut.bit_count()
 
 
@@ -189,7 +183,7 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     # a noncomplete graph has a nonadjacent pair, which V minus the pair
     # disconnects, and a smallest disconnecting set holds no simplicial vertex
-    pool = g.full_mask & ~_simplicial(g)
+    pool = g.full_mask & ~simplicial_mask(g)
     return next(size for size in range(g.n - 1)
                 for s in subsets(pool, size) if len(components(g, s)) > 1)
 

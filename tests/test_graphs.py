@@ -405,6 +405,37 @@ class TestEnumeration:
         assert len(keys) == count
         assert hashlib.sha256("".join(k + "\n" for k in keys).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("reps, n_max, children, neighborhoods", [
+        (graph_reps, 6, graphs._any_children, lambda g: range(1 << g.n)),
+        (connected_chordal_reps, 8, graphs._chordal_children,
+         lambda g: graphs.clique_masks(g)[1:]),
+    ])
+    def test_invariant_rejection_keeps_every_class(self, reps, n_max, children, neighborhoods):
+        # oracle: canonically label every child of every parent, rejecting none
+        for n in range(1, n_max):
+            parents = reps(n)
+            every = {to_graph6(canonical_graph(_augment(g, nb)))
+                     for g in parents for nb in neighborhoods(g)}
+            assert set().union(*map(children, parents)) == every
+
+    @pytest.mark.parametrize("reps, n, labelings", [
+        (graph_reps, 7, 2091), (connected_chordal_reps, 8, 2429),
+    ])
+    def test_invariant_rejection_bounds_the_labelings(self, monkeypatch, reps, n, labelings):
+        # labeling every child takes 9984 and 7268 calls at these levels; a
+        # rejection that stops rejecting shows here, not in the classes
+        level = reps(n)
+        label = graphs.canonical_graph
+        made = []
+
+        def counted(g):
+            made.append(g)
+            return label(g)
+
+        monkeypatch.setattr(graphs, "canonical_graph", counted)
+        assert reps.__wrapped__(n) == level
+        assert len(made) == labelings
+
     def test_pooled_levels_equal_serial(self):
         # each level grown on a 2-worker pool of the scan's kind, past the
         # lru_cache, from the cached serial level below it equals the
