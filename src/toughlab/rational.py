@@ -1,8 +1,9 @@
 """Exact toughness values: reduced nonnegative fractions plus infinity.
 
 Toughness of a complete graph is infinite and toughness of a disconnected
-graph is zero; everything else is a positive rational. Threshold tests
-against 1/2, 1, 2t, 2t+1 stay in integer cross-multiplication so no float
+graph is zero; everything else is a positive rational. The range tests
+against 1/2 and 1 are plain comparisons: a Fraction compares by integer
+cross-multiplication and INFINITY orders above every fraction, so no float
 ever enters a decision.
 """
 
@@ -52,21 +53,17 @@ def is_finite(value: ToughnessValue) -> bool:
 
 def exceeds_half(value: ToughnessValue) -> bool:
     """value > 1/2, exact."""
-    if value is INFINITY:
-        return True
-    return 2 * value.numerator > value.denominator
+    return value > Fraction(1, 2)
 
 
 def at_most_one(value: ToughnessValue) -> bool:
     """value <= 1, exact; infinity fails."""
-    if value is INFINITY:
-        return False
-    return value.numerator <= value.denominator
+    return value <= 1
 
 
 def in_half_one_interval(value: ToughnessValue) -> bool:
     """1/2 < value <= 1, exact."""
-    return is_finite(value) and exceeds_half(value) and at_most_one(value)
+    return Fraction(1, 2) < value <= 1
 
 
 def format_toughness(value: ToughnessValue) -> str:

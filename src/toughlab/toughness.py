@@ -118,8 +118,9 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
 def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> MinimalityResult:
     """Does deleting any single edge strictly lower the toughness?
 
-    tau is tau(g) when the caller already has it from toughness_witness,
-    and is taken as given; otherwise it comes from toughness(g).
+    tau is tau(g) when the caller already has it from toughness_witness
+    (``analyze`` does, with the witness cut), and is taken as given;
+    otherwise it comes from toughness(g).
 
     With t = num/den = tau(G), deleting uv lowers tau exactly when some cut
     S avoiding u and v leaves them apart in (G-uv)-S with
@@ -197,6 +198,14 @@ def vertex_connectivity(g: Graph) -> int:
 # unrestricted condition 2 is what its restricted variant is checked
 # against, so it must not assume the restriction.
 
+def _characterization_tau(g: Graph) -> tuple[int, int]:
+    """tau(g) as (num, den); refuses a graph that is complete or disconnected."""
+    if g.is_complete() or not g.is_connected():
+        raise GraphError("the characterization applies to connected noncomplete graphs")
+    t = toughness(g)
+    return t.numerator, t.denominator
+
+
 def _condition2(g: Graph, u: int, v: int, num: int, den: int,
                 restricted: bool) -> bool:
     """Every separator of G that u-v-separates G-e has |S| >= t*(omega+1).
@@ -224,10 +233,7 @@ def check_non_minimality_characterization(g: Graph) -> Optional[tuple[int, int]]
     separator of G that u-v-separates G-e must have size at least t*(omega+1),
     with t the exact toughness.
     """
-    if g.is_complete() or not g.is_connected():
-        raise GraphError("characterization applies to connected noncomplete graphs")
-    t = toughness(g)
-    num, den = t.numerator, t.denominator
+    num, den = _characterization_tau(g)
     for u, v in g.edges():
         if disjoint_path_count(g, u, v) * den < 2 * num + den:
             continue
@@ -239,12 +245,9 @@ def check_non_minimality_characterization(g: Graph) -> Optional[tuple[int, int]]
 def check_condition2_restricted(g: Graph, edge: tuple[int, int]) -> tuple[bool, bool]:
     """(restricted, unrestricted) evaluations of the separator condition."""
     u, v = edge
-    if g.is_complete() or not g.is_connected():
-        raise GraphError("condition applies to connected noncomplete graphs")
+    num, den = _characterization_tau(g)
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    t = toughness(g)
-    num, den = t.numerator, t.denominator
     return (
         _condition2(g, u, v, num, den, restricted=True),
         _condition2(g, u, v, num, den, restricted=False),
@@ -276,10 +279,7 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
     u, v = edge
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    if g.is_complete() or not g.is_connected():
-        raise GraphError("witness sets apply to connected noncomplete graphs")
-    t = toughness(g)
-    num, den = t.numerator, t.denominator
+    num, den = _characterization_tau(g)
     for cut, comps_ge in separating_cuts(g.without_edge(u, v), u, v, g.n - 2):
         parts = len(comps_ge)  # omega(G-S) + 1: e bridges G-S
         # the empty cut comes first and only when e is a bridge of G

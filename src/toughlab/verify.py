@@ -197,15 +197,9 @@ def scan_bound(class_filter: str) -> int:
 
 
 def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
-    """(g6, tau) when the class is a hit, minimally tough with tau > 1/2;
-    the edge test runs only once tau > 1/2 is known."""
+    """(g6, tau) when the class is a hit, minimally tough with tau > 1/2."""
     g = parse_graph6(g6)
-    tau = toughness(g)
-    if not exceeds_half(tau):
-        return None
-    if is_minimally_tough(g, tau=tau).verdict is Minimality.MINIMALLY_TOUGH:
-        return g6, tau
-    return None
+    return (g6, toughness(g)) if _minimally_tough_in(g, exceeds_half) else None
 
 
 def _theorem_detail(cls: str, tau: Fraction, text: str) -> str:
@@ -289,8 +283,10 @@ def _nontrivial(g: Graph) -> bool:
 
 
 def _minimally_tough_in(g: Graph, in_range: Callable[[ToughnessValue], bool]) -> bool:
-    result = is_minimally_tough(g)
-    return result.verdict is Minimality.MINIMALLY_TOUGH and in_range(result.toughness)
+    """Minimally tough with tau in range; the edge test runs only once tau
+    is known to be in range, and then finds it in the toughness cache."""
+    return in_range(toughness(g)) and \
+        is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH
 
 
 def _check_connectivity_bound(g: Graph):
@@ -423,7 +419,7 @@ def _check_theorem(name: str, g: Graph):
     """No graph of the THEOREMS row's class is minimally t-tough for t in its range."""
     cls, member, in_range, text = THEOREMS[name]
     if _minimally_tough_in(g, in_range) and member(g):
-        yield _theorem_detail(cls, is_minimally_tough(g).toughness, text)
+        yield _theorem_detail(cls, toughness(g), text)
 
 
 def _check_sun_or_hole(g: Graph):

@@ -329,11 +329,17 @@ class TestCharacterization:
     def test_paw_has_edge(self):
         assert check_non_minimality_characterization(PAW) is not None
 
-    def test_rejects_complete_or_disconnected(self):
-        with pytest.raises(GraphError):
-            check_non_minimality_characterization(complete(4))
-        with pytest.raises(GraphError):
-            check_non_minimality_characterization(from_edges(3, [(0, 1)]))
+    @pytest.mark.parametrize("call", [
+        lambda g: check_non_minimality_characterization(g),
+        lambda g: check_condition2_restricted(g, (0, 1)),
+        lambda g: find_edge_witness_set(g, (0, 1)),
+    ], ids=["characterization", "check_condition2_restricted", "find_edge_witness_set"])
+    @pytest.mark.parametrize("g", [complete(4), from_edges(3, [(0, 1)])],
+                             ids=["complete", "disconnected"])
+    def test_rejects_complete_or_disconnected(self, call, g):
+        # (0, 1) is an edge of both graphs, so only the domain is refused
+        with pytest.raises(GraphError, match="connected noncomplete"):
+            call(g)
 
     def test_equivalence_with_direct_recomputation_up_to_5(self):
         for g in graph_reps(5):
@@ -518,6 +524,23 @@ class TestExactArithmetic:
         p3 = path(3)  # tau exactly 1/2
         assert is_t_tough(p3, Fraction(1, 2))
         assert not is_t_tough(p3, just_over)
+
+    @pytest.mark.parametrize("value, over_half, at_most, in_interval", [
+        (Fraction(0), False, True, False),
+        (Fraction(1, 3), False, True, False),
+        (Fraction(1, 2), False, True, False),
+        (Fraction(501, 1000), True, True, True),
+        (Fraction(1), True, True, True),
+        (Fraction(1001, 1000), True, False, False),
+        (Fraction(3, 2), True, False, False),
+        (INFINITY, True, False, False),
+    ])
+    def test_range_predicates_at_their_boundaries(self, value, over_half, at_most,
+                                                  in_interval):
+        from toughlab.rational import at_most_one, exceeds_half, in_half_one_interval
+        assert exceeds_half(value) is over_half
+        assert at_most_one(value) is at_most
+        assert in_half_one_interval(value) is in_interval
 
     def test_infinity_is_one_object(self):
         import copy

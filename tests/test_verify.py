@@ -37,6 +37,7 @@ from toughlab.verify import (
     CheckReport,
     ScanReport,
     SUITES,
+    _minimally_tough_in,
     _scan_worker,
     classify_counterexample,
     emit_report,
@@ -103,6 +104,7 @@ class TestRunSuite:
         # row's range, every kept graph of the row's class is a violation
         cls, member, in_range, text = THEOREMS[name]
         for tau in filter(in_range, (Fraction(1), Fraction(3, 2))):
+            monkeypatch.setattr("toughlab.verify.toughness", lambda g: tau)
             monkeypatch.setattr("toughlab.verify.is_minimally_tough",
                                 lambda g: MinimalityResult(Minimality.MINIMALLY_TOUGH, tau))
             report = run_suite(name, 5)
@@ -189,6 +191,22 @@ class TestScan:
             assert _scan_worker(g6) == ((g6, tau) if hit else None), g6
             hits += hit
         assert hits > 0  # the wheels, among the non-chordal classes
+
+    def test_worker_runs_the_edge_test_only_above_half(self, monkeypatch):
+        # tau is read first: only the classes with tau > 1/2 reach the edge test
+        calls = []
+
+        def counted(g, **kwargs):
+            calls.append(g)
+            return is_minimally_tough(g, **kwargs)
+
+        monkeypatch.setattr("toughlab.verify.is_minimally_tough", counted)
+        graphs = [g for n in range(1, 9) for g in connected_chordal_reps(n)]
+        for g in graphs:
+            _scan_worker(to_graph6(g))
+        assert len(calls) == sum(exceeds_half(toughness(g)) for g in graphs) > 0
+        calls.clear()
+        assert not _minimally_tough_in(star(3), exceeds_half) and calls == []
 
     def test_scan_bound(self):
         with pytest.raises(GraphError):
