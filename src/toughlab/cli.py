@@ -1,7 +1,8 @@
 """Command-line front end: analyze graphs, scan the conjecture, run suites.
 
 Exit codes: 0 success, 2 verification failure, 64 usage error, 65 bad input
-data. Toughness is always printed as an exact fraction, never a decimal.
+data, 74 when stdout or --out cannot be written (a full disk, a closed pipe).
+Toughness is always printed as an exact fraction, never a decimal.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
+from functools import partial
 from typing import Optional
 
 from .chordal import is_chordal, minimal_separators, moplexes
@@ -34,10 +36,33 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_IO = 74
 
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    """stdout or --out could not be written; the OSError is the cause."""
+
+
+class _Output:
+    """A text stream whose failed write, flush or close raises _WriteError
+    naming it; every other attribute is the stream's own."""
+
+    def __init__(self, stream, name: str):
+        self.stream, self.name = stream, name
+
+    def __getattr__(self, attr):
+        value = getattr(self.stream, attr)
+        return partial(self._checked, value) if attr in ("write", "flush", "close") else value
+
+    def _checked(self, method, *args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            raise _WriteError(f"cannot write {self.name}: {exc.strerror}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,14 +196,7 @@ def _gather_graphs(args) -> list[Graph]:
 def _cmd_analyze(args) -> int:
     if not args.inputs and not args.family:
         raise _UsageError("analyze needs graph6 input, a file, -, or --family")
-    try:
-        graphs = _gather_graphs(args)
-    except Graph6Error as exc:
-        sys.stderr.write(f"toughlab: bad graph6 input: {exc}\n")
-        return EXIT_DATA
-    except GraphError as exc:
-        raise _UsageError(str(exc))
-    for g in graphs:
+    for g in _gather_graphs(args):
         record = _analysis_record(g)
         if args.json:
             sys.stdout.write(json.dumps(record) + "\n")
@@ -194,7 +212,8 @@ def _cmd_scan(args) -> int:
         raise _UsageError(f"--max-n must be 1..{bound} for --class {args.class_filter}")
     jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
     try:
-        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        out = (closing(_Output(open(args.out, "w", newline=""), f"--out {args.out}"))
+               if args.out else nullcontext(sys.stdout))
     except OSError as exc:
         raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     with out as fh:
@@ -217,10 +236,7 @@ def _cmd_verify(args) -> int:
         n_max = args.max_n
         if run_all and n_max is not None:
             n_max = min(n_max, SUITES[name][1])  # cap, don't reject, across suites
-        try:
-            report = run_suite(name, n_max)
-        except GraphError as exc:
-            raise _UsageError(str(exc))
+        report = run_suite(name, n_max)
         if args.json:
             sys.stdout.write(json.dumps(report.to_json_dict()) + "\n")
         else:
@@ -243,17 +259,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "scan":
             return _cmd_scan(args)
         return _cmd_verify(args)
-    except _UsageError as exc:
+    except Graph6Error as exc:
+        sys.stderr.write(f"toughlab: bad graph6 input: {exc}\n")
+        return EXIT_DATA
+    except (_UsageError, GraphError) as exc:  # GraphError is a refused argument
         sys.stderr.write(f"toughlab: {exc}\n")
         return EXIT_USAGE
-    except Graph6Error as exc:
-        sys.stderr.write(f"toughlab: bad input: {exc}\n")
-        return EXIT_DATA
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    """Run main; a closed or full output exits 74 without a traceback."""
+    sys.stdout = _Output(sys.stdout, "stdout")
+    try:
+        code = main()
+        sys.stdout.flush()
+    except _WriteError as exc:
+        # stdout may still hold text: the interpreter's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc.__cause__, BrokenPipeError):  # a reader that left
+            sys.stderr.write(f"toughlab: {exc}\n")
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

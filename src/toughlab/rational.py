@@ -10,8 +10,10 @@ ever enters a decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class ToughnessInfinity:
     """Toughness of complete graphs; compares strictly above every fraction.
 
@@ -31,15 +33,6 @@ class ToughnessInfinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITY = ToughnessInfinity()

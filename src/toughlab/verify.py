@@ -313,11 +313,10 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     comps = components(g, s)
     if len(comps) < 2:
         return False
+    deleted = [components(g, s ^ (1 << w)) for w in bits(s)]
     outside = [v for v in range(g.n) if not s >> v & 1]
     for u, v in combinations(outside, 2):
-        if not separates(comps, u, v):
-            continue
-        if all(not separates(components(g, s ^ (1 << w)), u, v) for w in bits(s)):
+        if separates(comps, u, v) and not any(separates(c, u, v) for c in deleted):
             return True
     return False
 

@@ -1,13 +1,19 @@
 """CLI: analyze/scan/verify subcommands, exit-code contract, JSON output."""
 
+import errno
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from toughlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import toughlab
+from toughlab.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toughlab.families import wheel
-from toughlab.graphs import to_graph6
+from toughlab.graphs import GraphError, to_graph6
 from toughlab.verify import ScanReport
 
 
@@ -194,6 +200,51 @@ def test_refused_inputs_exit_cleanly(tmp_path, capsys, argv, extra, code):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("toughlab: ")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _refuse(*args):
+    raise GraphError("refused inside the command")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("toughlab.cli.toughness_witness", ["analyze", "Bw"]),
+    ("toughlab.cli.run_suite", ["verify", "--suite", "thm_dirac"]),
+], ids=["analyze", "verify"])
+def test_graph_error_inside_a_command_exits_64(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(target, _refuse)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "toughlab: refused inside the command\n"
+
+
+def _run_script(argv, stdout):
+    """Run ``python -m toughlab.cli`` (the script's console_entry) on this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "toughlab.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+
+
+def test_closed_pipe_exits_74_quietly():
+    read, write = os.pipe()
+    os.close(read)  # the reader has left before anything is written
+    try:
+        result = _run_script(["verify", "--list"], write)
+    finally:
+        os.close(write)
+    assert result.returncode == EXIT_IO and result.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, stream", [
+    (["verify", "--list"], "stdout"),
+    (["scan", "--max-n", "3", "--jobs", "1", "--out", "/dev/full"], "--out /dev/full"),
+], ids=["stdout", "out-file"])
+def test_full_output_exits_74_with_one_line(argv, stream):
+    with open("/dev/full", "w") as full:
+        result = _run_script(argv, full)
+    assert result.returncode == EXIT_IO
+    assert result.stderr.decode().splitlines() == [
+        f"toughlab: cannot write {stream}: {os.strerror(errno.ENOSPC)}"]
 
 
 class TestVerify:
