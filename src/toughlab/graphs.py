@@ -92,8 +92,9 @@ class Graph:
 
     @classmethod
     def _unchecked(cls, n: int, rows) -> "Graph":
-        """Graph from rows derived from an already validated graph, which
-        keep every invariant __init__ checks, so none is checked again."""
+        """Graph from rows that keep every invariant __init__ checks (rows
+        derived from a validated graph, or decoded from graph6), so none is
+        checked again."""
         g = object.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
@@ -166,26 +167,25 @@ def from_edges(n: int, edges) -> Graph:
 def components(g: Graph, removed: int = 0) -> list[int]:
     """Connected components of g minus the removed vertex set.
 
-    Returns component masks ordered by least contained vertex.
+    Returns component masks ordered by least contained vertex. Each
+    component grows from a frontier of newly reached vertices, and a vertex
+    is reached only once, so every row is read at most once.
     """
     remaining = g.full_mask & ~removed
     adj = g.adj
     out = []
     while remaining:
-        comp = remaining & -remaining
-        while True:
-            grown = comp
-            m = comp
-            while m:
-                low = m & -m
-                grown |= adj[low.bit_length() - 1]
-                m ^= low
-            grown &= remaining
-            if grown == comp:
-                break
-            comp = grown
-        out.append(comp)
-        remaining &= ~comp
+        before = remaining
+        frontier = remaining & -remaining
+        remaining ^= frontier
+        while frontier and remaining:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & remaining
+            if new:
+                remaining ^= new
+                frontier |= new
+        out.append(before ^ remaining)
     return out
 
 
@@ -214,15 +214,30 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
 
     pool is a vertex mask, every vertex by default. Cuts come by increasing
     size, then increasing mask. This is the walk of every edge and
-    vertex-pair search; each size-k step costs C(p, k) component
-    computations, p the pool's size without u and v.
+    vertex-pair search. Each S costs a partial search from u, which drops S
+    as soon as it reaches N[v], plus one component computation when S is
+    yielded.
     """
+    adj = g.adj
+    near_v = g.closed(v)
+    if near_v >> u & 1:  # u is v or next to it: never apart
+        return
     pool &= g.full_mask & ~(1 << u) & ~(1 << v)
+    start = g.full_mask ^ 1 << u
     for size in range(max_size + 1):
         for s in subsets(pool, size):
-            comps = components(g, s)
-            if len(comps) > 1 and separates(comps, u, v):
-                yield s, comps
+            remaining = start ^ s
+            frontier = 1 << u
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = adj[low.bit_length() - 1] & remaining
+                if new & near_v:
+                    break
+                remaining ^= new
+                frontier |= new
+            else:
+                yield s, components(g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +270,9 @@ def parse_graph6(text: str) -> Graph:
         pad = 6 - nbits % 6
         if (payload[-1] - 63) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
-    return Graph(n, _graph6_rows(n, payload))
+    # the decoder sets both directions of pairs i < j < n only, so the rows
+    # keep every invariant __init__ checks, and n is 1..62 by the bytes
+    return Graph._unchecked(n, _graph6_rows(n, payload))
 
 
 def _graph6_rows(n: int, payload: bytes) -> list[int]:

@@ -7,10 +7,12 @@ least size. Toughness is minimized in increasing cut size from the empty
 cut, which settles disconnected graphs; at size k no ratio below k/(n-k) is
 possible, which bounds the scan. Every edge and vertex-pair search walks
 ``graphs.separating_cuts``: the cuts S avoiding u and v that leave them
-apart. A Menger path count is the size of the first such cut (in G-uv,
-plus one, when uv is an edge), so it costs time exponential in the count;
-every caller runs it next to an exponential toughness search. The edge
-searches look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S and
+apart. Each cut it tries costs a partial search from u, which stops once it
+reaches v, and only the cuts it yields get all their components. A Menger
+path count is the size of the first such cut (in G-uv, plus one, when uv is
+an edge), so it costs time exponential in the count; every caller runs it
+next to an exponential toughness search. The edge searches look at G-e
+only: if u, v are apart in (G-e)-S, e bridges G-S and
 omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
 deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
 leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
@@ -161,7 +163,8 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     By Menger's theorem this is the size of a smallest cut separating u from
     v when uv is not an edge. When uv is an edge it counts as one path and
     the rest are counted in G - uv. The cut walk makes at most the sum over
-    k <= the result of C(n-2, k) component computations.
+    k <= the result of C(n-2, k) partial searches from u, plus one component
+    computation for the cut it stops at.
     """
     if u == v:
         raise GraphError("path count needs two distinct vertices")
@@ -178,7 +181,8 @@ def vertex_connectivity(g: Graph) -> int:
     """Size of a smallest disconnecting vertex set; n-1 for complete graphs.
 
     One walk over cuts by increasing size, so the cost is exponential in the
-    result: at most the sum over k <= kappa of C(n, k) component computations.
+    result: at most the sum over k <= kappa of C(n, k) component computations,
+    each reading every adjacency row at most once.
     """
     if g.is_complete():
         return g.n - 1

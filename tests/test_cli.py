@@ -1,6 +1,7 @@
 """CLI: analyze/scan/verify subcommands, exit-code contract, JSON output."""
 
 import errno
+import hashlib
 import importlib
 import json
 import os
@@ -94,6 +95,21 @@ class TestAnalyze:
 
     def test_bad_family_exit_64(self, capsys):
         assert main(["analyze", "--family", "nosuch:4"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("family, digest", [
+        ("wheel:16", "a7cda406ccff102f4fe1ec4a2a11aa160542ee25163fdb89bc464327611d89b9"),
+        ("path:18", "61aea42c676c5ad5e0c9c122977039cc2941f7431c0206d12ce5e6cc831576b2"),
+        ("cycle:16", "38dde13be9b48a1d929287d911236f2d1d7ad62a49c5c6dfbffe7d77822948ac"),
+        ("matched_cliques:5", "85a1c0ee0bb30540745a642061b0d0ccb538b2ba7d74b88d9f2e88e6ed15e007"),
+        ("k_sun:4", "95582d15b2fb2a29cbd7e23b68ea4db8a1639a53b1350860af4a35e8dd5959d6"),
+        ("complete:14", "65f496c97e640a7193f782bdd4e92161c6b55ca4f673327f864ffa0d366526d8"),
+    ])
+    def test_json_record_pinned_by_digest(self, capsys, family, digest):
+        # SHA-256 of the whole --json line (tau, verdict, witness cut and
+        # edge, recognizers, moplexes, separators), measured with the
+        # round-based component growth
+        assert main(["analyze", "--json", "--family", family]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestScan:

@@ -10,6 +10,8 @@ from functools import partial
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toughlab import graphs
 from toughlab.families import complete, cycle, star, wheel
@@ -189,6 +191,20 @@ class TestGraph6:
             s = to_graph6(g)
             assert to_graph6(parse_graph6(s)) == s
 
+    def test_every_short_form_up_to_5_is_valid_and_round_trips(self):
+        # every payload with zero padding: the unvalidated decoded rows pass
+        # the checks of Graph.__init__ and encode back to the same text
+        for n in range(1, 6):
+            nbits = n * (n - 1) // 2
+            width = (nbits + 5) // 6
+            for payload in range(1 << nbits):
+                padded = payload << (6 * width - nbits)
+                text = chr(63 + n) + "".join(chr(63 + (padded >> 6 * (width - 1 - i) & 63))
+                                             for i in range(width))
+                g = parse_graph6(text)
+                assert type(g.adj) is tuple and Graph(g.n, g.adj) == g
+                assert to_graph6(g) == text
+
     def test_line_file_round_trip(self, tmp_path):
         from toughlab.graphs import read_graph6_lines
         target = tmp_path / "all4.g6"
@@ -197,6 +213,48 @@ class TestGraph6:
         assert text.endswith("\n") and len(text.splitlines()) == 11
         with open(target) as fh:
             assert list(read_graph6_lines(fh)) == list(graph_reps(4))
+
+
+def reached(g, removed, u):
+    """Oracle: the vertices a plain search from u reaches in g - removed."""
+    seen, todo = {u}, [u]
+    while todo:
+        for w in bits(g.adj[todo.pop()] & ~removed):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def reaches(g, removed, u, v):
+    return v in reached(g, removed, u)
+
+
+def components_oracle(g, removed):
+    """Oracle: one plain search from each least vertex not reached yet."""
+    out, left = [], [v for v in range(g.n) if not removed >> v & 1]
+    while left:
+        comp = reached(g, removed, left[0])
+        out.append(mask_of(comp))
+        left = [v for v in left if v not in comp]
+    return out
+
+
+bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def graphs_with_removed_sets(draw):
+    """A graph on 10 to 20 vertices and a removed set of up to a third of
+    them. A randomly ordered path keeps each edge with odds 4 in 5, so the
+    components run long; other pairs join with a drawn odds of 0 to 3 in 20."""
+    n = draw(st.integers(10, 20))
+    order = draw(st.permutations(range(n)))
+    edges = [(a, b) for a, b in zip(order, order[1:]) if draw(st.integers(0, 4))]
+    odds = draw(st.integers(0, 3))
+    edges += [p for p in combinations(range(n), 2) if draw(st.integers(0, 19)) < odds]
+    removed = mask_of(draw(st.lists(st.integers(0, n - 1), max_size=n // 3)))
+    return from_edges(n, edges), removed
 
 
 class TestComponents:
@@ -220,6 +278,18 @@ class TestComponents:
         for g in graph_reps(5):
             assert g.is_connected() == (len(components(g)) == 1)
 
+    def test_masks_and_order_match_search_oracle_up_to_6(self):
+        for n in range(1, 7):
+            for g in graph_reps(n):
+                for removed in range(1 << n):
+                    assert components(g, removed) == components_oracle(g, removed), (g, removed)
+
+    @bounded
+    @given(graphs_with_removed_sets())
+    def test_long_components_match_search_oracle(self, case):
+        g, removed = case
+        assert components(g, removed) == components_oracle(g, removed)
+
 
 class TestSubsets:
     @pytest.mark.parametrize("pool", [0, 0b1, 0b1011, 0b110100, 0b1111111, 0b1010010110])
@@ -228,17 +298,6 @@ class TestSubsets:
         for size in range(pool.bit_count() + 2):
             expected = sorted(mask_of(c) for c in combinations(bits(pool), size))
             assert list(subsets(pool, size)) == expected
-
-
-def reaches(g, removed, u, v):
-    """Oracle: plain search from u in g - removed."""
-    seen, todo = {u}, [u]
-    while todo:
-        for w in bits(g.adj[todo.pop()] & ~removed):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return v in seen
 
 
 class TestSeparatingCuts:
@@ -252,6 +311,29 @@ class TestSeparatingCuts:
                     for max_size in range(n + 1):
                         expected = [(s, components(g, s)) for size, s in cuts if size <= max_size]
                         assert list(separating_cuts(g, u, v, max_size)) == expected, (g, u, v)
+
+    def test_a_vertex_is_never_apart_from_itself(self):
+        for g in graph_reps(5):
+            for u in range(g.n):
+                assert list(separating_cuts(g, u, u, g.n)) == [], (g, u)
+
+    def test_components_built_only_for_yielded_cuts_up_to_6(self, monkeypatch):
+        # a cut that leaves u and v together is dropped by the search from u
+        # before any component of g - S is built
+        built = []
+        build = graphs.components
+
+        def counted(g, removed=0):
+            built.append(removed)
+            return build(g, removed)
+
+        monkeypatch.setattr(graphs, "components", counted)
+        for n in range(2, 7):
+            for g in graph_reps(n):
+                for u, v in permutations(range(n), 2):
+                    built.clear()
+                    cuts = list(separating_cuts(g, u, v, n))
+                    assert built == [s for s, _ in cuts], (g, u, v)
 
     def test_pool_keeps_only_the_cuts_inside_it_up_to_5(self):
         for n in range(2, 6):

@@ -572,9 +572,9 @@ class TestFamilyValues:
             assert toughness(wheel(n)) == expected
 
 
-# Random graphs with at most 9 vertices, and random chordal graphs on 10 to
-# 12. Each test is derandomized, with a fixed example budget and no example
-# database, so every run draws the same graphs.
+# Random graphs with at most 9 vertices, and random graphs and random chordal
+# graphs on 10 to 12. Each test is derandomized, with a fixed example budget
+# and no example database, so every run draws the same graphs.
 bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
@@ -606,6 +606,16 @@ def random_chordal_graphs(draw):
             adj[w] |= 1 << i
     edges = [(v, w) for v in range(n) for w in bits(adj[v]) if v < w]
     return relabel(from_edges(n, edges), draw(st.permutations(range(n))))
+
+
+@st.composite
+def random_general_graphs(draw):
+    """G(n, p) on 10 to 12 vertices, each pair an edge with a drawn p of 3/10
+    to 4/5. Most draws are connected, and most have at most two simplicial
+    vertices."""
+    n = draw(st.integers(10, 12))
+    odds = draw(st.integers(3, 8))
+    return from_edges(n, [p for p in combinations(range(n), 2) if draw(st.integers(0, 9)) < odds])
 
 
 @st.composite
@@ -680,5 +690,20 @@ class TestRandomChordalGraphs:
 
     @bounded
     @given(random_chordal_graphs())
+    def test_minimality_matches_recomputation(self, g):
+        assert is_minimally_tough(g) == recomputed_minimality(g)
+
+
+class TestRandomGeneralGraphs:
+    """Past the enumerated range: G(n, p) on 10 to 12 vertices, where the
+    simplicial prune rarely applies and the edge walk stops early instead."""
+
+    @bounded
+    @given(random_general_graphs())
+    def test_witness_matches_unpruned_walk(self, g):
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+
+    @bounded
+    @given(random_general_graphs())
     def test_minimality_matches_recomputation(self, g):
         assert is_minimally_tough(g) == recomputed_minimality(g)
