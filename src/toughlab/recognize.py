@@ -177,13 +177,15 @@ def is_split(g: Graph) -> ClassVerdict:
 
 def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:
     """Three pairwise nonadjacent vertices, each pair connected away from
-    the closed neighborhood of the third."""
+    the closed neighborhood of the third. The components of G - N[z] are
+    computed once per vertex z."""
+    away = [components(g, g.closed(z)) for z in range(g.n)]
     for a, b, c in combinations(range(g.n), 3):
         if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
             continue
         # the three are pairwise nonadjacent, so x lies outside N[z] and is
         # never removed: "not separated" means x and y are joined avoiding N[z]
-        if not any(separates(components(g, g.closed(z)), x, y)
+        if not any(separates(away[z], x, y)
                    for x, y, z in ((a, b, c), (a, c, b), (b, c, a))):
             return a, b, c
     return None

@@ -4,8 +4,13 @@ characterization of non-minimally tough graphs.
 Every cut search walks one cut size at a time through ``graphs.subsets``,
 the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
 least size. Toughness is minimized in increasing cut size from the empty
-cut, which settles disconnected graphs; at size k no ratio below k/(n-k) is
-possible, which bounds the scan. Every edge and vertex-pair search walks
+cut, which settles disconnected graphs. The walk ends at the first size k
+where no cut can beat the best ratio, as omega(G-S) at |S| = k has three
+caps: n - k; alpha(G), since one vertex from each component makes an
+independent set; and D_k/kappa, the sum of the k largest degrees over the
+vertex connectivity, since each component borders kappa or more vertices
+of S. No cap grows faster than k, so no larger size can win either.
+Every edge and vertex-pair search walks
 ``graphs.separating_cuts``: the cuts S avoiding u and v that leave them
 apart. Each cut it tries costs a partial search from u, which stops once it
 reaches v, and only the cuts it yields get all their components. A Menger
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .graphs import (Graph, GraphError, bits, components, separating_cuts, simplicial_mask,
@@ -75,22 +81,88 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitne
 
     The empty cut comes first and settles disconnected graphs. The best ratio
     is the pair best_size/best_parts, 1/0 before any cut, and every decision
-    is an integer product; one Fraction is built at the end."""
+    is an integer product; one Fraction is built at the end.
+
+    Once a cut is found, the walk ends at the first size k where some cap
+    on omega(G-S), |S| = k, gives no ratio strictly below the best, so the
+    value and the least-size, least-mask witness are those of the full walk.
+    The caps, tried cheapest first:
+    - n - k: every component keeps a vertex.
+    - D_k/kappa. The first disconnecting cut the walk meets has size kappa,
+      the vertex connectivity, since a smallest disconnecting set holds no
+      simplicial vertex. D_k is the sum of the k largest degrees in the
+      pool, which holds S. When G-S has two or more components, each one,
+      C, is cut off by N(C), a subset of S, so |N(C)| >= kappa, and each w
+      in S borders at most deg(w) components: kappa*omega <= D_k.
+    - alpha(G): one vertex from each component is an independent set.
+    No cap grows faster than k: n - k falls, alpha is fixed, and the
+    (k+1)-st largest degree is at most the mean of the k before it. So
+    k/cap never falls, and a size whose cap cannot win ends the walk."""
     if g.is_complete():
         return INFINITY, None
     n = g.n
-    pool = g.full_mask & ~simplicial_mask(g)
+    simplicial = simplicial_mask(g)
+    pool = g.full_mask & ~simplicial
     best, best_size, best_parts = 0, 1, 0
+    kappa = alpha = 0  # each set the first time its cap is needed
     for size in range(n - 1):
-        # even omega = n - size cannot beat the current best at this size
-        if size * best_parts >= best_size * (n - size):
-            break
+        if best_parts:
+            if size * best_parts >= best_size * (n - size):
+                break
+            if not kappa:
+                kappa = best_size
+                # degree_sums[k] = D_k, vertices outside the pool counting 0
+                degree_sums = list(accumulate(sorted(
+                    (g.degree(v) if pool >> v & 1 else 0 for v in range(n)),
+                    reverse=True), initial=0))
+            if size * kappa * best_parts >= best_size * degree_sums[size]:
+                break
+            alpha = alpha or _independence_number(g, simplicial)
+            if size * best_parts >= best_size * alpha:
+                break
         for cut in subsets(pool, size):
             parts = len(components(g, cut))
             if parts > 1 and size * best_parts < best_size * parts:
                 best, best_size, best_parts = cut, size, parts
     value = Fraction(best_size, best_parts)
     return value, ToughnessWitness(best, best_parts, value)
+
+
+def _independence_number(g: Graph, simplicial: int) -> int:
+    """alpha(g), by branch and reduce on vertex masks; simplicial is a mask
+    of simplicial vertices of g.
+
+    A simplicial vertex lies in some maximum independent set, which holds at
+    most one of its neighbours, a clique, to swap for it. So the given ones
+    are taken first, each with its neighbours removed; each stays simplicial
+    in what is left. Then a vertex of degree at most 1 among those left is
+    taken outright, and otherwise a vertex of maximum degree is either
+    dropped or taken with its neighbours."""
+    adj = g.adj
+
+    def alpha(alive: int) -> int:
+        taken = 0
+        while alive:
+            top, top_degree = -1, -1
+            for v in bits(alive):
+                degree = (adj[v] & alive).bit_count()
+                if degree <= 1:
+                    taken += 1
+                    alive &= ~(adj[v] | 1 << v)
+                    break
+                if degree > top_degree:
+                    top, top_degree = v, degree
+            else:
+                rest = alive & ~(1 << top)
+                return taken + max(alpha(rest), 1 + alpha(rest & ~adj[top]))
+        return taken
+
+    alive, taken = g.full_mask, 0
+    for v in bits(simplicial):
+        if alive >> v & 1:
+            taken += 1
+            alive &= ~(adj[v] | 1 << v)
+    return taken + alpha(alive)
 
 
 @lru_cache(maxsize=1 << 17)

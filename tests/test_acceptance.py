@@ -172,3 +172,18 @@ def test_14_analyze_complete30_budget():
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.1f}s"
     _report(14, "analyze complete:30 within 1 s", started)
+
+
+def test_15_analyze_path40_cycle40_budget():
+    for family, tau in (("path:40", Fraction(1, 2)), ("cycle:40", Fraction(1))):
+        started = time.perf_counter()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--json", "--family", family])
+        record = json.loads(out.getvalue())
+        assert code == EXIT_OK
+        assert Fraction(record["tau_num"], record["tau_den"]) == tau, family
+        assert record["verdict"] == Minimality.MINIMALLY_TOUGH.value, family
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"{family}: budget exceeded: {elapsed:.1f}s"
+        _report(15, f"analyze {family} tau={tau}, minimally tough, within 1 s", started)

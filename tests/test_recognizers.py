@@ -266,6 +266,14 @@ class TestAsteroidalTriples:
                 comp = next(c for c in components(g, g.closed(z)) if c >> x & 1)
                 assert comp >> y & 1
 
+    def test_matches_networkx_up_to_7(self):
+        nx = pytest.importorskip("networkx")
+        for g in (g for n in range(1, 8) for g in graph_reps(n)):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert (find_asteroidal_triple(g) is None) == nx.is_at_free(h), g
+
 
 class TestIntervalLike:
     def test_examples(self):

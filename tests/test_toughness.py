@@ -1,8 +1,9 @@
 """Toughness engine: exact values against a full-scan oracle, Menger counts
 and connectivity against a path-packing oracle and networkx, minimality
-against per-edge recomputation, the characterization machinery, and
-properties on random graphs."""
+against per-edge recomputation, the characterization machinery,
+properties on random graphs, and the caps that end the toughness walk."""
 
+import importlib
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -22,6 +23,7 @@ from toughlab.graphs import (
     mask_of,
     parse_graph6,
     relabel,
+    simplicial_mask,
     to_graph6,
 )
 from toughlab.rational import INFINITY
@@ -29,6 +31,7 @@ from toughlab.toughness import (
     Minimality,
     MinimalityResult,
     ToughnessWitness,
+    _independence_number,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,
@@ -572,9 +575,10 @@ class TestFamilyValues:
             assert toughness(wheel(n)) == expected
 
 
-# Random graphs with at most 9 vertices, and random graphs and random chordal
-# graphs on 10 to 12. Each test is derandomized, with a fixed example budget
-# and no example database, so every run draws the same graphs.
+# Random graphs with at most 9 vertices, random graphs and random chordal
+# graphs on 10 to 12, and random trees on 12 to 40. Each test is
+# derandomized, with a fixed example budget and no example database, so
+# every run draws the same graphs.
 bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
@@ -609,13 +613,22 @@ def random_chordal_graphs(draw):
 
 
 @st.composite
-def random_general_graphs(draw):
-    """G(n, p) on 10 to 12 vertices, each pair an edge with a drawn p of 3/10
-    to 4/5. Most draws are connected, and most have at most two simplicial
-    vertices."""
+def random_general_graphs(draw, low=3, high=8):
+    """G(n, p) on 10 to 12 vertices, each pair an edge with a drawn p of
+    low/10 to high/10. With the default 3/10 to 4/5 most draws are
+    connected, and most have at most two simplicial vertices."""
     n = draw(st.integers(10, 12))
-    odds = draw(st.integers(3, 8))
+    odds = draw(st.integers(low, high))
     return from_edges(n, [p for p in combinations(range(n), 2) if draw(st.integers(0, 9)) < odds])
+
+
+@st.composite
+def random_trees(draw):
+    """Tree on 12 to 40 vertices, randomly labeled: each new vertex hangs
+    from a drawn earlier one."""
+    n = draw(st.integers(12, 40))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return relabel(from_edges(n, edges), draw(st.permutations(range(n))))
 
 
 @st.composite
@@ -707,3 +720,94 @@ class TestRandomGeneralGraphs:
     @given(random_general_graphs())
     def test_minimality_matches_recomputation(self, g):
         assert is_minimally_tough(g) == recomputed_minimality(g)
+
+
+def necklace(hubs, beads):
+    """hubs vertices 0..hubs-1 in a ring, each consecutive pair joined by
+    beads paths of length two; the beads are vertices hubs.. on."""
+    edges = []
+    for i in range(hubs):
+        for j in range(beads):
+            bead = hubs + i * beads + j
+            edges += [(i, bead), ((i + 1) % hubs, bead)]
+    return from_edges(hubs * (beads + 1), edges)
+
+
+def independence_oracle(nx, g):
+    """alpha(g) as networkx's maximum clique size of the complement."""
+    return nx.max_weight_clique(nx.complement(to_networkx(nx, g)), weight=None)[1]
+
+
+def counted_components(monkeypatch):
+    """Count the components calls made from the toughness module."""
+    calls = []
+
+    def counting(g, removed=0):
+        calls.append(removed)
+        return components(g, removed)
+
+    # the package's toughness attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("toughlab.toughness"), "components", counting)
+    return calls
+
+
+class TestBoundedWalk:
+    """toughness_witness stops at the first cut size where no cut can beat the
+    best ratio, with omega(G-S) capped by n - |S|, by alpha(G), and by the
+    degree sum of S over kappa. Every cap must be valid (the witness matches
+    the unpruned walk) and must be used (the pinned call counts)."""
+
+    def test_independence_number_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in _reps_through(7):
+            alpha = independence_oracle(nx, g)
+            # with and without the simplicial vertices taken first
+            assert _independence_number(g, simplicial_mask(g)) == alpha, to_graph6(g)
+            assert _independence_number(g, 0) == alpha, to_graph6(g)
+
+    @bounded
+    @given(st.one_of(random_graphs(), random_general_graphs(), random_chordal_graphs(),
+                     random_trees()))
+    def test_independence_number_on_random_graphs(self, g):
+        nx = pytest.importorskip("networkx")
+        alpha = independence_oracle(nx, g)
+        assert _independence_number(g, simplicial_mask(g)) == alpha
+        assert _independence_number(g, 0) == alpha
+
+    @bounded
+    @given(random_trees())
+    def test_tree_toughness_is_one_over_max_degree(self, g):
+        top = max(g.degree(v) for v in range(g.n))
+        value, witness = toughness_witness(g)
+        assert value == Fraction(1, top)
+        first = next(v for v in range(g.n) if g.degree(v) == top)
+        assert witness == ToughnessWitness(1 << first, top, value)
+
+    @bounded
+    @given(random_general_graphs(1, 3))
+    def test_sparse_witness_matches_unpruned_walk(self, g):
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+
+    @pytest.mark.parametrize("g", [
+        # the best cut is the three hubs, one size past kappa = 2, and meets
+        # the degree cap D_3/kappa = 9 exactly
+        necklace(3, 3),
+        # K_{3,7} with a pendant vertex: kappa = 1, and the best cut, the
+        # three vertices of the small side, leaves alpha = 7 components
+        from_edges(11, [(a, b) for a in range(3) for b in range(3, 10)] + [(3, 10)]),
+    ], ids=["necklace", "k37_pendant"])
+    def test_tight_caps_keep_the_witness(self, g):
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+
+    @pytest.mark.parametrize("g, calls", [
+        # sizes 0 and 1 over the 22 inner vertices; D_2/kappa = 4 stops size 2
+        (path(24), 1 + 22),
+        # sizes 0 to 2; D_3/kappa = 3 stops size 3
+        (cycle(20), 1 + 20 + 190),
+        # sizes 0 to 5 over all ten vertices; alpha = 2 stops size 6
+        (matched_cliques(5), 1 + 10 + 45 + 120 + 210 + 252),
+    ], ids=["path24", "cycle20", "matched_cliques5"])
+    def test_pinned_components_calls(self, monkeypatch, g, calls):
+        counted = counted_components(monkeypatch)
+        toughness_witness(g)
+        assert len(counted) == calls
