@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .rational import INFINITY, ToughnessValue, format_toughness
 from .recognize import (
-    ClassVerdict,
     find_asteroidal_triple,
     find_hole,
     find_induced_sun,

@@ -135,8 +135,8 @@ def _analysis_record(g: Graph) -> dict:
             {"cut": sorted(bits(witness.cut)), "parts": witness.parts}
             if witness is not None else None),
         "chordal": is_chordal(g),
-        "strongly_chordal": is_strongly_chordal(g).member,
-        "split": is_split(g).member,
+        "strongly_chordal": is_strongly_chordal(g),
+        "split": is_split(g),
         "interval_like": is_interval_like(g),
         "moplexes": [sorted(bits(m)) for m in moplexes(g)],
         "minimal_separators": [sorted(bits(s)) for s in minimal_separators(g)],

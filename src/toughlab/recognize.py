@@ -1,10 +1,11 @@
 """Graph-class recognizers: holes, suns, strongly chordal, split, asteroidal
 triples, and universal vertices.
 
-Recognition is desk-scale and certificate-bearing: a negative verdict for a
-characterization-based class carries a concrete forbidden structure that
-re-validates against the adjacency. The sun, split-obstruction and claw
-searches walk vertex masks with ``subsets`` in increasing order, so each
+Each ``is_*`` predicate answers membership as a bool and searches for no
+certificate. Each ``find_*`` search returns a concrete structure that
+re-validates against the adjacency, or None: a hole, an induced sun, a split
+obstruction, an asteroidal triple or a claw. The sun, split-obstruction and
+claw searches walk vertex masks with ``subsets`` in increasing order, so each
 returns the witness on the least mask it tests: the least clique hub of the
 smallest sun, the least four-set and then the least five-set for a split
 obstruction, and the least leaf triple of the least center for a claw.
@@ -12,19 +13,11 @@ obstruction, and the least leaf triple of the least center for a claw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional
 
 from .chordal import is_chordal, is_simple, maximal_cliques
 from .graphs import Graph, bits, components, mask_of, separates, subsets
-
-
-@dataclass(frozen=True)
-class ClassVerdict:
-    member: bool
-    witness: Optional[tuple] = None
-    partition: Optional[tuple[int, int]] = None  # (clique mask, independent mask)
 
 
 def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
@@ -101,32 +94,21 @@ def find_induced_sun(g: Graph) -> Optional[tuple[int, tuple[int, ...], tuple[int
     return None
 
 
-def _greedy_simple_elimination(g: Graph) -> bool:
-    """Delete simple vertices while any exists; True if the graph empties."""
+def is_strongly_chordal(g: Graph) -> bool:
+    """Delete simple vertices while any exists; True if the graph empties.
+
+    Every induced subgraph of a strongly chordal graph has a simple vertex
+    (Farber), so the greedy choice never has to back out.
+    """
     alive = g.full_mask
     while alive:
-        victim = -1
         for v in bits(alive):
             if is_simple(g, v, alive):
-                victim = v
+                alive ^= 1 << v
                 break
-        if victim < 0:
+        else:
             return False
-        alive ^= 1 << victim
     return True
-
-
-def is_strongly_chordal(g: Graph) -> ClassVerdict:
-    """Greedy simple elimination; a failure carries a hole or sun witness."""
-    if _greedy_simple_elimination(g):
-        return ClassVerdict(True)
-    hole = find_hole(g)
-    if hole is not None:
-        return ClassVerdict(False, witness=("hole", hole))
-    sun = find_induced_sun(g)
-    if sun is None:
-        raise RuntimeError("simple elimination stuck on a chordal sun-free graph")
-    return ClassVerdict(False, witness=("sun", sun))
 
 
 def find_split_obstruction(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -159,20 +141,13 @@ def is_independent(g: Graph, mask: int) -> bool:
     return all(not g.adj[v] & mask for v in bits(mask))
 
 
-def is_split(g: Graph) -> ClassVerdict:
-    """Partition into a clique and an independent set when one exists.
+def is_split(g: Graph) -> bool:
+    """Some maximal clique has an independent complement.
 
     Any split partition extends its clique side to a maximal clique whose
     complement stays independent, so scanning maximal cliques is exhaustive.
     """
-    for q in maximal_cliques(g):
-        rest = g.full_mask & ~q
-        if is_independent(g, rest):
-            return ClassVerdict(True, partition=(q, rest))
-    obstruction = find_split_obstruction(g)
-    if obstruction is None:
-        raise RuntimeError("non-split graph without a C4/C5/2K2 obstruction")
-    return ClassVerdict(False, witness=obstruction)
+    return any(is_independent(g, g.full_mask & ~q) for q in maximal_cliques(g))
 
 
 def find_asteroidal_triple(g: Graph) -> Optional[tuple[int, int, int]]:

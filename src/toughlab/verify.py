@@ -76,8 +76,8 @@ from .toughness import (
 # and recognizers are looked up here when called, so patching them reaches the scan.
 SCAN_CLASSES: dict[str, tuple[str, Callable[[Graph], bool]]] = {
     "chordal": ("connected_chordal_reps", lambda g: True),
-    "strongly_chordal": ("connected_chordal_reps", lambda g: is_strongly_chordal(g).member),
-    "split": ("connected_chordal_reps", lambda g: is_split(g).member),
+    "strongly_chordal": ("connected_chordal_reps", lambda g: is_strongly_chordal(g)),
+    "split": ("connected_chordal_reps", lambda g: is_split(g)),
     "interval_like": ("connected_chordal_reps", lambda g: is_interval_like(g)),
     "all": ("graph_reps", lambda g: g.is_connected()),
 }
@@ -90,9 +90,9 @@ Theorem = tuple[str, Callable[[Graph], bool], Callable[[ToughnessValue], bool], 
 THEOREMS: dict[str, Theorem] = {
     "thm_chordal_interval": ("chordal", lambda g: is_chordal(g),
                              in_half_one_interval, "in (1/2,1]"),
-    "thm_strongly_chordal": ("strongly chordal", lambda g: is_strongly_chordal(g).member,
+    "thm_strongly_chordal": ("strongly chordal", lambda g: is_strongly_chordal(g),
                              exceeds_half, "> 1/2"),
-    "thm_split": ("split", lambda g: is_split(g).member, exceeds_half, "> 1/2"),
+    "thm_split": ("split", lambda g: is_split(g), exceeds_half, "> 1/2"),
     "thm_universal": ("chordal with a universal vertex",
                       lambda g: is_chordal(g) and bool(universal_vertices(g)),
                       exceeds_half, "> 1/2"),
@@ -168,8 +168,8 @@ class ScanReport:
         }
 
 
-def emit_report(report, fmt: str, fh) -> None:
-    """Write a report as JSON or CSV to an open text file."""
+def emit_report(report: ScanReport, fmt: str, fh) -> None:
+    """Write a scan report as JSON, or its hits as CSV, to an open text file."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "json":
@@ -177,14 +177,9 @@ def emit_report(report, fmt: str, fh) -> None:
         fh.write("\n")
     else:
         writer = csv.writer(fh, lineterminator="\n")
-        if isinstance(report, ScanReport):
-            writer.writerow(["graph6", "num", "den"])
-            for g6, tau in report.counterexamples:
-                writer.writerow([g6, tau.numerator, tau.denominator])
-        else:
-            writer.writerow(["graph6", "detail"])
-            for g6, detail in report.violations:
-                writer.writerow([g6, detail])
+        writer.writerow(["graph6", "num", "den"])
+        for g6, tau in report.counterexamples:
+            writer.writerow([g6, tau.numerator, tau.denominator])
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +497,9 @@ SUITES: dict[str, Suite] = {
     "lemma_moplicial_neighbors": (_chordal_upto, 7, lambda g: not g.is_complete(),
                                   _check_moplicial_neighbors),
     "thm_strongly_chordal": (
-        _chordal_upto, 7, lambda g: not g.is_complete() and is_strongly_chordal(g).member,
+        _chordal_upto, 7, lambda g: not g.is_complete() and is_strongly_chordal(g),
         partial(_check_theorem, "thm_strongly_chordal")),
-    "thm_split": (_chordal_upto, 7, lambda g: not g.is_complete() and is_split(g).member,
+    "thm_split": (_chordal_upto, 7, lambda g: not g.is_complete() and is_split(g),
                   partial(_check_theorem, "thm_split")),
     "thm_universal": (_chordal_upto, 7,
                       lambda g: not g.is_complete() and bool(universal_vertices(g)),

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from toughlab.chordal import is_chordal
 from toughlab.cli import EXIT_OK, main
-from toughlab.families import matched_cliques, star, wheel
+from toughlab.families import k_sun, matched_cliques, star, wheel
 from toughlab.graphs import from_edges, graph_reps, parse_graph6, to_graph6
 from toughlab.rational import in_half_one_interval
 from toughlab.recognize import find_induced_sun, find_split_obstruction, is_split, is_strongly_chordal
@@ -117,8 +117,8 @@ def test_09_farber_and_split_biconditionals_n7():
         for g in graph_reps(n):
             checked += 1
             sun_free = find_induced_sun(g) is None
-            assert is_strongly_chordal(g).member == (is_chordal(g) and sun_free), to_graph6(g)
-            assert is_split(g).member == (find_split_obstruction(g) is None), to_graph6(g)
+            assert is_strongly_chordal(g) == (is_chordal(g) and sun_free), to_graph6(g)
+            assert is_split(g) == (find_split_obstruction(g) is None), to_graph6(g)
     assert checked == 1 + 2 + 4 + 11 + 34 + 156 + 1044
     _report(9, "Farber triple equivalence and split biconditional, n<=7", started)
 
@@ -187,3 +187,13 @@ def test_15_analyze_path40_cycle40_budget():
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"{family}: budget exceeded: {elapsed:.1f}s"
         _report(15, f"analyze {family} tau={tau}, minimally tough, within 1 s", started)
+
+
+def test_16_sun31_recognizers_budget():
+    g = k_sun(31)
+    for recognizer, expected in ((is_strongly_chordal, False), (is_split, True)):
+        started = time.perf_counter()
+        assert recognizer(g) is expected
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"{recognizer.__name__}: budget exceeded: {elapsed:.1f}s"
+        _report(16, f"{recognizer.__name__}(k_sun(31)) is {expected} within 1 s", started)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toughlab.chordal import is_chordal
+from toughlab.chordal import is_chordal, is_clique
 from toughlab.families import (
     build_family,
     complete,
@@ -18,7 +18,7 @@ from toughlab.families import (
     wheel,
 )
 from toughlab.graphs import GraphError, mask_of
-from toughlab.recognize import find_induced_claw, is_split, is_strongly_chordal
+from toughlab.recognize import find_induced_claw, is_independent, is_split, is_strongly_chordal
 from toughlab.toughness import Minimality, is_minimally_tough, vertex_connectivity
 
 
@@ -110,7 +110,8 @@ class TestFamilyFacts:
         for k in (3, 4):
             g = k_sun(k)
             assert is_chordal(g)
-            verdict = is_split(g)
-            assert verdict.member
-            assert verdict.partition == (mask_of(range(k)), mask_of(range(k, 2 * k)))
-            assert not is_strongly_chordal(g).member
+            # the hub is the clique side and the outer vertices the independent side
+            assert is_clique(g, mask_of(range(k)))
+            assert is_independent(g, mask_of(range(k, 2 * k)))
+            assert is_split(g)
+            assert not is_strongly_chordal(g)

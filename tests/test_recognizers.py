@@ -161,72 +161,62 @@ def greedy_outcomes(g):
 
 class TestStronglyChordal:
     def test_sun3_rejected_with_sun_witness(self):
-        verdict = is_strongly_chordal(k_sun(3))
-        assert not verdict.member
-        kind, payload = verdict.witness
-        assert kind == "sun"
-        validate_sun(k_sun(3), payload)
+        assert not is_strongly_chordal(k_sun(3))
+        validate_sun(k_sun(3), find_induced_sun(k_sun(3)))
 
     def test_tree_accepted(self):
-        assert is_strongly_chordal(star(4)).member
-        assert is_strongly_chordal(path(6)).member
+        assert is_strongly_chordal(star(4))
+        assert is_strongly_chordal(path(6))
 
     def test_non_chordal_rejected_with_hole(self):
-        verdict = is_strongly_chordal(cycle(5))
-        assert not verdict.member
-        kind, payload = verdict.witness
-        assert kind == "hole"
-        validate_hole(cycle(5), payload)
+        assert not is_strongly_chordal(cycle(5))
+        validate_hole(cycle(5), find_hole(cycle(5)))
 
     def test_interval_like_graphs_are_strongly_chordal(self):
         for g in graph_reps(6):
             if is_interval_like(g):
-                assert is_strongly_chordal(g).member
+                assert is_strongly_chordal(g)
 
     def test_farber_equivalence_up_to_6(self):
         for g in graph_reps(6):
             sun_free = find_induced_sun(g) is None
-            assert is_strongly_chordal(g).member == (is_chordal(g) and sun_free)
+            assert is_strongly_chordal(g) == (is_chordal(g) and sun_free)
 
     def test_elimination_is_order_independent_up_to_6(self):
         for g in graph_reps(6):
             assert len(greedy_outcomes(g)) == 1
 
 
+def splits(g, q):
+    """q is a clique and its complement is independent."""
+    return is_clique(g, q) and is_independent(g, g.full_mask & ~q)
+
+
 class TestSplit:
     def test_sun3_partition(self):
-        verdict = is_split(k_sun(3))
-        assert verdict.member
-        q, i = verdict.partition
-        assert q == mask_of([0, 1, 2]) and i == mask_of([3, 4, 5])
+        assert is_split(k_sun(3)) and splits(k_sun(3), mask_of([0, 1, 2]))
 
     def test_2k2_rejected(self):
-        verdict = is_split(from_edges(4, [(0, 1), (2, 3)]))
-        assert not verdict.member
-        assert verdict.witness[0] == "2K2"
+        g = from_edges(4, [(0, 1), (2, 3)])
+        assert not is_split(g)
+        assert find_split_obstruction(g)[0] == "2K2"
 
     def test_p4_partition(self):
-        verdict = is_split(path(4))
-        assert verdict.member
-        q, i = verdict.partition
-        assert q == mask_of([1, 2]) and i == mask_of([0, 3])
+        assert is_split(path(4)) and splits(path(4), mask_of([1, 2]))
 
     def test_partition_really_splits(self):
-        from toughlab.chordal import is_clique
-        for g in graph_reps(6):
-            verdict = is_split(g)
-            if verdict.member:
-                q, i = verdict.partition
-                assert q | i == g.full_mask and q & i == 0
-                assert is_clique(g, q) and is_independent(g, i)
+        # brute force: some vertex mask is a clique with an independent complement
+        for n in range(1, 7):
+            for g in graph_reps(n):
+                assert is_split(g) == any(splits(g, q) for q in range(1 << n)), g
 
     def test_obstruction_biconditional_up_to_6(self):
         for g in graph_reps(6):
-            assert is_split(g).member == (find_split_obstruction(g) is None)
+            assert is_split(g) == (find_split_obstruction(g) is None)
 
     def test_split_graphs_are_chordal(self):
         for g in graph_reps(6):
-            if is_split(g).member:
+            if is_split(g):
                 assert is_chordal(g)
 
     def test_obstructions_validate(self):
@@ -242,6 +232,14 @@ class TestSplit:
             else:
                 validate_hole(g, verts)
                 assert len(verts) == (4 if kind == "C4" else 5)
+
+
+def test_biconditionals_on_connected_chordal_8():
+    # n = 8 of the domain that the strongly chordal and split scans filter
+    for g in connected_chordal_reps(8):
+        sun_free = find_induced_sun(g) is None
+        assert is_strongly_chordal(g) == (is_chordal(g) and sun_free), g
+        assert is_split(g) == (find_split_obstruction(g) is None), g
 
 
 class TestAsteroidalTriples:

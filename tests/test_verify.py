@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from toughlab.cli import EXIT_OK, main
 from toughlab.families import cycle, k_sun, star, wheel
 from toughlab.graphs import (
     GraphError,
@@ -21,7 +22,6 @@ from toughlab.graphs import (
     to_graph6,
 )
 from toughlab.rational import exceeds_half
-from toughlab.recognize import ClassVerdict
 from toughlab.toughness import (
     Minimality,
     MinimalityResult,
@@ -34,7 +34,6 @@ from toughlab.verify import (
     SEVERITY_FINDING,
     SEVERITY_VIOLATION,
     THEOREMS,
-    CheckReport,
     ScanReport,
     SUITES,
     _minimally_tough_in,
@@ -306,7 +305,7 @@ class TestClassification:
 
     def test_recognizer_patch_reaches_classifier(self, monkeypatch):
         g, tau = self.ROW_HITS["thm_split"]
-        monkeypatch.setattr("toughlab.verify.is_split", lambda g: ClassVerdict(False))
+        monkeypatch.setattr("toughlab.verify.is_split", lambda g: False)
         assert classify_counterexample(to_graph6(g), tau)[0] == SEVERITY_CANDIDATE
 
     @pytest.mark.parametrize("tau", [Fraction(1, 3), Fraction(1, 2)])
@@ -325,11 +324,12 @@ class TestClassification:
 
 
 class TestReports:
-    def test_check_report_json_round_trip(self):
-        report = run_suite("thm_dirac", 4)
-        buf = io.StringIO()
-        emit_report(report, "json", buf)
-        assert json.loads(buf.getvalue()) == report.to_json_dict()
+    def test_check_report_json_round_trip(self, capsys):
+        # verify --json writes each suite's dict as one JSON line
+        assert main(["verify", "--suite", "thm_dirac", "--max-n", "4", "--json"]) == EXIT_OK
+        line = json.loads(capsys.readouterr().out)
+        expected = run_suite("thm_dirac", 4).to_json_dict()
+        assert {**line, "elapsed_s": 0} == {**expected, "elapsed_s": 0}
 
     def test_scan_report_json_round_trip(self):
         report = scan_conjecture(5, "all")
@@ -344,16 +344,18 @@ class TestReports:
 
     def test_json_field_order_stable(self):
         report = run_suite("thm_dirac", 3)
-        buf = io.StringIO()
-        emit_report(report, "json", buf)
-        keys = list(json.loads(buf.getvalue()).keys())
+        keys = list(report.to_json_dict())
         assert keys == ["suite", "n_max", "graphs_checked", "violations", "elapsed_s"]
 
     def test_empty_violations_serialize(self):
-        report = CheckReport("demo", 3, 7, [], 0.0)
+        report = ScanReport("all", 3, {3: 2}, [], 0.0)
         buf = io.StringIO()
         emit_report(report, "json", buf)
-        assert json.loads(buf.getvalue())["violations"] == []
+        data = json.loads(buf.getvalue())
+        assert data["violations"] == [] and data["counterexamples"] == []
+        buf = io.StringIO()
+        emit_report(report, "csv", buf)
+        assert buf.getvalue() == "graph6,num,den\n"
 
     def test_scan_csv_rows(self):
         report = ScanReport("all", 5, {5: 21}, [("Dr{", Fraction(3, 2))], 0.1)
@@ -363,15 +365,8 @@ class TestReports:
         assert lines[0] == "graph6,num,den"
         assert lines[1] == "Dr{,3,2"
 
-    def test_check_csv_rows(self):
-        report = CheckReport("demo", 3, 7, [("Bw", "some detail")], 0.0)
-        buf = io.StringIO()
-        emit_report(report, "csv", buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines == ["graph6,detail", "Bw,some detail"]
-
     def test_emit_to_path(self, tmp_path):
-        report = run_suite("thm_dirac", 3)
+        report = scan_conjecture(3, "all")
         target = tmp_path / "report.json"
         with open(target, "w", newline="") as fh:
             emit_report(report, "json", fh)
@@ -379,4 +374,4 @@ class TestReports:
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_report(CheckReport("demo", 3, 7, [], 0.0), "xml", io.StringIO())
+            emit_report(ScanReport("all", 3, {3: 2}, [], 0.0), "xml", io.StringIO())
