@@ -208,15 +208,15 @@ def simplicial_mask(g: Graph) -> int:
 
 
 def separating_cuts(g: Graph, u: int, v: int, max_size: int,
-                    pool: int = -1) -> Iterator[tuple[int, list[int]]]:
-    """Yield (S, components(g, S)) for every S inside pool, avoiding u and v,
-    with |S| <= max_size that leaves u and v in different components of g - S.
+                    pool: int = -1) -> Iterator[int]:
+    """Yield every S inside pool, avoiding u and v, with |S| <= max_size
+    that leaves u and v in different components of g - S.
 
     pool is a vertex mask, every vertex by default. Cuts come by increasing
     size, then increasing mask. This is the walk of every edge and
-    vertex-pair search. Each S costs a partial search from u, which drops S
-    as soon as it reaches N[v], plus one component computation when S is
-    yielded.
+    vertex-pair search. Each S costs one partial search from u, which drops
+    S as soon as it reaches N[v]; no component of g - S is built, so a
+    caller that needs omega(g - S) computes it for the cuts it reads.
     """
     adj = g.adj
     near_v = g.closed(v)
@@ -237,7 +237,7 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
                 remaining ^= new
                 frontier |= new
             else:
-                yield s, components(g, s)
+                yield s
 
 
 # ---------------------------------------------------------------------------

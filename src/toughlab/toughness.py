@@ -10,18 +10,18 @@ caps: n - k; alpha(G), since one vertex from each component makes an
 independent set; and D_k/kappa, the sum of the k largest degrees over the
 vertex connectivity, since each component borders kappa or more vertices
 of S. No cap grows faster than k, so no larger size can win either.
-Every edge and vertex-pair search walks
-``graphs.separating_cuts``: the cuts S avoiding u and v that leave them
-apart. Each cut it tries costs a partial search from u, which stops once it
-reaches v, and only the cuts it yields get all their components. A Menger
-path count is the size of the first such cut (in G-uv, plus one, when uv is
-an edge), so it costs time exponential in the count; every caller runs it
-next to an exponential toughness search. The edge searches look at G-e
-only: if u, v are apart in (G-e)-S, e bridges G-S and
-omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
-deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
-leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), and the search
-for such an S stops at the first one, or at size k once k >= t*(n-k).
+Every edge and vertex-pair search walks ``graphs.separating_cuts``: the
+cuts S avoiding u and v that leave them apart. Each costs a partial search
+from u, which stops once it reaches v; only the callers that read omega
+build the components of a cut. A Menger path count is the size of the first
+such cut (in G-uv, plus one, when uv is an edge), so it costs time
+exponential in the count; every caller runs it next to an exponential
+toughness search. The edge searches look at G-e only: if u, v are apart in
+(G-e)-S, e bridges G-S and omega(G-S) = omega((G-e)-S) - 1. Minimality
+never recomputes tau(G-e): deleting e = uv lowers tau(G) = t exactly when
+some S avoiding u and v leaves them apart in (G-e)-S with
+|S| < t*omega((G-e)-S), and the search for such an S stops at the first
+one, or at size k once k >= t*(n-k).
 The toughness, edge and connectivity walks skip simplicial vertices (those
 whose neighbourhood is a clique; a chordal graph has them): N(w) - S lies in
 one component of G - S at most, so S - w keeps every component apart with
@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import (Graph, GraphError, bits, components, separating_cuts, simplicial_mask,
                      subsets)
@@ -194,7 +194,8 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
 
     tau is tau(g) when the caller already has it from toughness_witness
     (``analyze`` does, with the witness cut), and is taken as given;
-    otherwise it comes from toughness(g).
+    otherwise it comes from toughness(g). The degenerate verdicts are read
+    from tau: INFINITY is COMPLETE and 0 is DISCONNECTED.
 
     With t = num/den = tau(G), deleting uv lowers tau exactly when some cut
     S avoiding u and v leaves them apart in (G-uv)-S with
@@ -207,18 +208,17 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
     G-uv: those of G that are not common neighbours of u and v. witness_edge
     is the first edge in ``g.edges()`` order that no cut lowers.
     """
-    if g.is_complete():
-        return MinimalityResult(Minimality.COMPLETE, INFINITY)
-    if not g.is_connected():
-        return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
     t = toughness(g) if tau is None else tau
+    if t is INFINITY or not t:
+        return MinimalityResult(Minimality.COMPLETE if t else Minimality.DISCONNECTED, t)
     num, den = t.numerator, t.denominator
     largest = (num * g.n - 1) // (num + den)
     simplicial = simplicial_mask(g)
     for u, v in g.edges():
         pool = ~(simplicial & ~(g.adj[u] & g.adj[v]))
-        for s, comps in separating_cuts(g.without_edge(u, v), u, v, largest, pool):
-            if s.bit_count() * den < num * len(comps):
+        h = g.without_edge(u, v)
+        for s in separating_cuts(h, u, v, largest, pool):
+            if s.bit_count() * den < num * len(components(h, s)):
                 break
         else:
             return MinimalityResult(Minimality.NOT_MINIMAL, t, (u, v))
@@ -235,8 +235,8 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     By Menger's theorem this is the size of a smallest cut separating u from
     v when uv is not an edge. When uv is an edge it counts as one path and
     the rest are counted in G - uv. The cut walk makes at most the sum over
-    k <= the result of C(n-2, k) partial searches from u, plus one component
-    computation for the cut it stops at.
+    k <= the result of C(n-2, k) partial searches from u, and builds no
+    component.
     """
     if u == v:
         raise GraphError("path count needs two distinct vertices")
@@ -245,7 +245,7 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
         g = g.without_edge(u, v)
     # V - {u, v} separates u from v once they are not adjacent, and a
     # smallest separator holds no simplicial vertex
-    cut, _ = next(separating_cuts(g, u, v, g.n - 2, ~simplicial_mask(g)))
+    cut = next(separating_cuts(g, u, v, g.n - 2, ~simplicial_mask(g)))
     return edge + cut.bit_count()
 
 
@@ -275,31 +275,25 @@ def vertex_connectivity(g: Graph) -> int:
 # against, so it must not assume the restriction.
 
 def _characterization_tau(g: Graph) -> tuple[int, int]:
-    """tau(g) as (num, den); refuses a graph that is complete or disconnected."""
-    if g.is_complete() or not g.is_connected():
-        raise GraphError("the characterization applies to connected noncomplete graphs")
+    """tau(g) as (num, den); refuses a complete (INFINITY) or disconnected (0) graph."""
     t = toughness(g)
+    if t is INFINITY or not t:
+        raise GraphError("the characterization applies to connected noncomplete graphs")
     return t.numerator, t.denominator
 
 
-def _condition2(g: Graph, u: int, v: int, num: int, den: int,
-                restricted: bool) -> bool:
-    """Every separator of G that u-v-separates G-e has |S| >= t*(omega+1).
-
-    The restricted variant only quantifies over separators whose every vertex
-    has neighbors in at least two components of (G-e)-S.
-    """
-    for s, comps_ge in separating_cuts(g.without_edge(u, v), u, v, g.n - 2):
-        # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps_ge) - 1,
-        # and S separates G exactly when comps_ge has three parts or more
-        if len(comps_ge) < 3:
-            continue
-        if restricted and not all(
-                sum(1 for comp in comps_ge if g.adj[w] & comp) >= 2 for w in bits(s)):
-            continue
-        if s.bit_count() * den < num * len(comps_ge):
-            return False
-    return True
+def _condition2(g: Graph, u: int, v: int, num: int, den: int) -> Iterator[bool]:
+    """For each separator of G that u-v-separates G-e and breaks
+    |S| >= t*(omega+1), whether it breaks the restricted form too, which
+    only quantifies over separators whose every vertex has neighbors in at
+    least two components of (G-e)-S."""
+    h = g.without_edge(u, v)
+    for s in separating_cuts(h, u, v, g.n - 2):
+        # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps) - 1,
+        # and S separates G exactly when comps has three parts or more
+        comps = components(h, s)
+        if len(comps) >= 3 and s.bit_count() * den < num * len(comps):
+            yield all(sum(1 for comp in comps if g.adj[w] & comp) >= 2 for w in bits(s))
 
 
 def check_non_minimality_characterization(g: Graph) -> Optional[tuple[int, int]]:
@@ -313,21 +307,23 @@ def check_non_minimality_characterization(g: Graph) -> Optional[tuple[int, int]]
     for u, v in g.edges():
         if disjoint_path_count(g, u, v) * den < 2 * num + den:
             continue
-        if _condition2(g, u, v, num, den, restricted=False):
+        if next(_condition2(g, u, v, num, den), None) is None:
             return u, v
     return None
 
 
 def check_condition2_restricted(g: Graph, edge: tuple[int, int]) -> tuple[bool, bool]:
-    """(restricted, unrestricted) evaluations of the separator condition."""
+    """(restricted, unrestricted) evaluations of the separator condition, in one walk."""
     u, v = edge
     num, den = _characterization_tau(g)
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    return (
-        _condition2(g, u, v, num, den, restricted=True),
-        _condition2(g, u, v, num, den, restricted=False),
-    )
+    unrestricted = True
+    for restricted_too in _condition2(g, u, v, num, den):
+        if restricted_too:
+            return False, False
+        unrestricted = False
+    return True, unrestricted
 
 
 def check_sufficient_condition(g: Graph, t: Fraction) -> Optional[tuple[int, int]]:
@@ -356,8 +352,9 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     num, den = _characterization_tau(g)
-    for cut, comps_ge in separating_cuts(g.without_edge(u, v), u, v, g.n - 2):
-        parts = len(comps_ge)  # omega(G-S) + 1: e bridges G-S
+    h = g.without_edge(u, v)
+    for cut in separating_cuts(h, u, v, g.n - 2):
+        parts = len(components(h, cut))  # omega(G-S) + 1: e bridges G-S
         # the empty cut comes first and only when e is a bridge of G
         if not cut or (parts - 1) * num <= cut.bit_count() * den < parts * num:
             return EdgeWitnessSet(edge, cut)

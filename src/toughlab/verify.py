@@ -231,9 +231,9 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
     per_n: dict[int, int] = {}
     hits: list[tuple[str, Fraction]] = []
     # one pool for the whole scan, growing each enumeration level and then
-    # testing its members; --jobs 1 stays in this process
+    # testing its members; a single worker stays in this process
     workers = min(jobs, os.cpu_count() or 1)
-    with multiprocessing.Pool(workers) if jobs > 1 else nullcontext() as pool:
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
         scan_map = partial(pool.map, chunksize=16) if pool else map
         with level_map(scan_map):
             for n in range(1, n_max + 1):

@@ -244,6 +244,14 @@ class TestMinimallyTough:
         assert is_minimally_tough(complete(3)).verdict is Minimality.COMPLETE
         assert is_minimally_tough(from_edges(2, [])).verdict is Minimality.DISCONNECTED
 
+    def test_disconnected_verdict_read_from_cached_tau(self, monkeypatch):
+        g = from_edges(4, [(0, 1), (2, 3)])
+        assert toughness(g) == 0
+        counted = counted_components(monkeypatch)
+        # past the verdict cache, the verdict comes from the cached tau alone
+        assert is_minimally_tough.__wrapped__(g).verdict is Minimality.DISCONNECTED
+        assert counted == []
+
     def test_witness_edge_preserves_toughness(self):
         for g in graph_reps(5):
             result = is_minimally_tough(g)
@@ -289,6 +297,13 @@ class TestDisjointPaths:
         for g in graph_reps(5):
             for u, v in combinations(range(g.n), 2):
                 assert disjoint_path_count(g, u, v) == path_packing_oracle(g, u, v)
+
+    def test_builds_no_components_up_to_6(self, monkeypatch):
+        counted = counted_components(monkeypatch)
+        for g in _reps_through(6):
+            for u, v in combinations(range(g.n), 2):
+                disjoint_path_count(g, u, v)
+        assert counted == []
 
     def test_connectivity_bound_by_toughness(self):
         for g in graph_reps(6):
@@ -377,6 +392,23 @@ class TestCondition2Restricted:
             for edge in g.edges():
                 restricted, unrestricted = check_condition2_restricted(g, edge)
                 assert restricted == unrestricted
+
+    def test_one_walk_per_call_up_to_5(self, monkeypatch):
+        module = importlib.import_module("toughlab.toughness")
+        walk, walked, asked = module.separating_cuts, [], []
+
+        def counted(g, u, v, *rest):
+            walked.append((u, v))
+            return walk(g, u, v, *rest)
+
+        monkeypatch.setattr(module, "separating_cuts", counted)
+        for g in _reps_through(5):
+            if g.is_complete() or not g.is_connected():
+                continue
+            for edge in g.edges():
+                check_condition2_restricted(g, edge)
+                asked.append(edge)
+        assert walked == asked
 
     def test_matches_definition_up_to_6(self):
         # oracle: the condition as stated, on components of G and of G - e
@@ -739,7 +771,7 @@ def independence_oracle(nx, g):
 
 
 def counted_components(monkeypatch):
-    """Count the components calls made from the toughness module."""
+    """Count the components calls made from the toughness and graphs modules."""
     calls = []
 
     def counting(g, removed=0):
@@ -747,7 +779,8 @@ def counted_components(monkeypatch):
         return components(g, removed)
 
     # the package's toughness attribute is the function, not the module
-    monkeypatch.setattr(importlib.import_module("toughlab.toughness"), "components", counting)
+    for name in ("toughness", "graphs"):
+        monkeypatch.setattr(importlib.import_module(f"toughlab.{name}"), "components", counting)
     return calls
 
 

@@ -242,7 +242,7 @@ class TestScan:
         assert (to_graph6(canonical_graph(wheel(5))), Fraction(3, 2)) in hits
 
     @pytest.mark.parametrize("jobs, cpus, sizes", [
-        (1, 8, []), (2, 8, [2]), (100000, 8, [8]), (2, 1, [1])])
+        (1, 8, []), (2, 8, [2]), (100000, 8, [8]), (2, 1, [])])
     def test_one_pool_per_scan_at_most_cpu_count(self, monkeypatch, jobs, cpus, sizes):
         created = []
 
