@@ -53,10 +53,8 @@ from .recognize import (
     universal_vertices,
 )
 from .toughness import (
-    EdgeWitnessSet,
     Minimality,
     MinimalityResult,
-    ToughnessWitness,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,

@@ -18,7 +18,7 @@ from typing import Optional
 from .chordal import is_chordal, minimal_separators, moplexes
 from .families import build_family
 from .graphs import (GRAPH6_MAX_VERTICES, Graph, Graph6Error, GraphError, bits,
-                     parse_graph6, read_graph6_lines, to_graph6)
+                     components, parse_graph6, read_graph6_lines, to_graph6)
 from .rational import format_toughness, is_finite
 from .recognize import is_interval_like, is_split, is_strongly_chordal
 from .toughness import Minimality, is_minimally_tough, toughness_witness
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
 
 
 def _analysis_record(g: Graph) -> dict:
-    tau, witness = toughness_witness(g)
+    tau, cut = toughness_witness(g)
     result = is_minimally_tough(g, tau=tau)
     record = {
         "graph6": to_graph6(g),
@@ -132,8 +132,8 @@ def _analysis_record(g: Graph) -> dict:
         "verdict": result.verdict.value,
         "witness_edge": list(result.witness_edge) if result.witness_edge else None,
         "toughness_witness": (
-            {"cut": sorted(bits(witness.cut)), "parts": witness.parts}
-            if witness is not None else None),
+            {"cut": sorted(bits(cut)), "parts": len(components(g, cut))}
+            if cut is not None else None),
         "chordal": is_chordal(g),
         "strongly_chordal": is_strongly_chordal(g),
         "split": is_split(g),

@@ -45,23 +45,6 @@ from .graphs import (Graph, GraphError, bits, components, separating_cuts, simpl
 from .rational import INFINITY, ToughnessValue, is_finite
 
 
-@dataclass(frozen=True)
-class ToughnessWitness:
-    """A cut realizing the toughness: value = |cut| / parts."""
-
-    cut: int
-    parts: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class EdgeWitnessSet:
-    """Cut S(e): e is a bridge in G-S, removing it pushes G-S past 1/t."""
-
-    edge: tuple[int, int]
-    cut: int
-
-
 class Minimality(Enum):
     MINIMALLY_TOUGH = "minimally_tough"
     NOT_MINIMAL = "not_minimal"
@@ -76,8 +59,9 @@ class MinimalityResult:
     witness_edge: Optional[tuple[int, int]] = None
 
 
-def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitness]]:
-    """Exact toughness with a minimizing cut (None for complete graphs).
+def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
+    """Exact toughness and the mask of a minimizing cut S, so that
+    |S|/omega(G-S) is the toughness; None for complete graphs.
 
     The empty cut comes first and settles disconnected graphs. The best ratio
     is the pair best_size/best_parts, 1/0 before any cut, and every decision
@@ -124,8 +108,7 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[ToughnessWitne
             parts = len(components(g, cut))
             if parts > 1 and size * best_parts < best_size * parts:
                 best, best_size, best_parts = cut, size, parts
-    value = Fraction(best_size, best_parts)
-    return value, ToughnessWitness(best, best_parts, value)
+    return Fraction(best_size, best_parts), best
 
 
 def _independence_number(g: Graph, simplicial: int) -> int:
@@ -341,10 +324,11 @@ def check_sufficient_condition(g: Graph, t: Fraction) -> Optional[tuple[int, int
     return None
 
 
-def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitnessSet]:
-    """Witness cut S(e): omega(G-S) <= |S|/t < omega((G-e)-S) and e bridges G-S.
+def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[int]:
+    """Mask of a witness set S(e): omega(G-S) <= |S|/t < omega((G-e)-S) and
+    e bridges G-S; None when e has none.
 
-    Bridges get the empty cut. The search walks the cuts of G-e that
+    Bridges get the empty cut, 0. The search walks the cuts of G-e that
     separate the edge ends in increasing size, so the reported witness is
     size-minimal, and the least mask of its size.
     """
@@ -357,5 +341,5 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[EdgeWitne
         parts = len(components(h, cut))  # omega(G-S) + 1: e bridges G-S
         # the empty cut comes first and only when e is a bridge of G
         if not cut or (parts - 1) * num <= cut.bit_count() * den < parts * num:
-            return EdgeWitnessSet(edge, cut)
+            return cut
     return None

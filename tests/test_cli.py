@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import toughlab
 from toughlab.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toughlab.families import wheel
-from toughlab.graphs import GraphError, to_graph6
+from toughlab.graphs import GraphError, graph_reps, to_graph6
 from toughlab.verify import ScanReport
 
 
@@ -54,7 +55,6 @@ class TestAnalyze:
         assert record["chordal"] is True and record["split"] is True
 
     def test_batch_stdin(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\nCr\r\n"))
         assert main(["analyze", "--json", "-"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
@@ -109,6 +109,16 @@ class TestAnalyze:
         # edge, recognizers, moplexes, separators), measured with the
         # round-based component growth
         assert main(["analyze", "--json", "--family", family]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_json_records_of_all_small_classes_pinned_by_digest(self, capsys, monkeypatch):
+        # every class of graph_reps(n <= 6), 208 in all: the disconnected ones
+        # have an empty witness cut whose parts the families above never reach
+        lines = [to_graph6(g) for n in range(1, 7) for g in graph_reps(n)]
+        assert len(lines) == 208
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(g6 + "\n" for g6 in lines)))
+        assert main(["analyze", "--json", "-"]) == EXIT_OK
+        digest = "e10a23e238fa887b608c7aa0ed4bf4f874baf0944ae95cc577e87f3491673088"
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

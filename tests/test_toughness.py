@@ -30,7 +30,6 @@ from toughlab.rational import INFINITY
 from toughlab.toughness import (
     Minimality,
     MinimalityResult,
-    ToughnessWitness,
     _independence_number,
     check_condition2_restricted,
     check_non_minimality_characterization,
@@ -94,8 +93,7 @@ def unpruned_toughness_witness(g):
             parts = len(components(g, cut))
             if parts > 1 and size * best_parts < best_size * parts:
                 best, best_size, best_parts = cut, size, parts
-    value = Fraction(best_size, best_parts)
-    return value, ToughnessWitness(best, best_parts, value)
+    return Fraction(best_size, best_parts), best
 
 
 def all_simple_paths(g, u, v):
@@ -148,10 +146,11 @@ class TestToughness:
         assert toughness(from_edges(4, [(0, 1)])) == 0
 
     def test_c4_witness(self):
-        value, witness = toughness_witness(cycle(4))
+        g = cycle(4)
+        value, cut = toughness_witness(g)
         assert value == 1
-        assert witness.cut == mask_of([0, 2]) and witness.parts == 2
-        assert witness.value == value
+        assert cut == mask_of([0, 2]) and len(components(g, cut)) == 2
+        assert Fraction(cut.bit_count(), len(components(g, cut))) == value
 
     def test_oracle_agreement_up_to_6(self):
         for g in graph_reps(6):
@@ -161,20 +160,20 @@ class TestToughness:
         # and on the connected chordal classes at 8, where simplicial
         # vertices are skipped most
         for g in chain(_reps_through(7), connected_chordal_reps(8)):
-            value, witness = toughness_witness(g)
-            if witness is None:
+            value, cut = toughness_witness(g)
+            if cut is None:
                 assert g.is_complete()
                 continue
-            parts = len(components(g, witness.cut))
-            assert parts == witness.parts >= 2
-            assert Fraction(witness.cut.bit_count(), parts) == witness.value == value
+            parts = len(components(g, cut))
+            assert parts >= 2
+            assert Fraction(cut.bit_count(), parts) == value
             ratios = {s: Fraction(s.bit_count(), p) for s in range(1 << g.n)
                       if (p := len(components(g, s))) >= 2}
             assert min(ratios.values()) == value
             # the reported cut is the least mask among the minimizing cuts of
             # least size
             minimizers = [s for s, ratio in ratios.items() if ratio == value]
-            assert witness.cut == min(minimizers, key=lambda s: (s.bit_count(), s))
+            assert cut == min(minimizers, key=lambda s: (s.bit_count(), s))
 
     def test_monotone_under_edge_deletion(self):
         for g in graph_reps(6):
@@ -468,14 +467,12 @@ class TestEdgeWitnessSets:
     def test_star_edges_are_bridges(self):
         s = star(3)
         for edge in s.edges():
-            witness = find_edge_witness_set(s, edge)
-            assert witness is not None and witness.cut == 0
+            assert find_edge_witness_set(s, edge) == 0
 
     def test_c4_edge_witness(self):
         # cut {2}: C4 - {2} keeps 0-1 joined, deleting the edge then splits it,
         # 1 component <= |S|/t = 1 and 2 components > 1
-        witness = find_edge_witness_set(cycle(4), (0, 1))
-        assert witness is not None and witness.cut == mask_of([2])
+        assert find_edge_witness_set(cycle(4), (0, 1)) == mask_of([2])
 
     def test_witness_conditions_validate(self):
         for g in _reps_through(6):
@@ -483,7 +480,7 @@ class TestEdgeWitnessSets:
                 continue
             t = toughness(g)
             for edge in g.edges():
-                witness = find_edge_witness_set(g, edge)
+                cut = find_edge_witness_set(g, edge)
                 u, v = edge
                 ge = g.without_edge(u, v)
                 # every nonempty witness cut, by the definition on G and G - e
@@ -496,22 +493,20 @@ class TestEdgeWitnessSets:
                     if (w_g * t.numerator <= s.bit_count() * t.denominator
                             < w_ge * t.numerator):
                         found.append(s)
-                if witness is None:
+                if cut is None:
                     assert ge.is_connected() and not found
                     continue
-                assert witness.edge == edge
-                s = witness.cut
-                assert not s >> u & 1 and not s >> v & 1
-                if s == 0:
+                assert not cut >> u & 1 and not cut >> v & 1
+                if cut == 0:
                     assert not ge.is_connected()
                     continue
-                w_g = len(components(g, s))
-                w_ge = len(components(ge, s))
-                assert w_g * t.numerator <= s.bit_count() * t.denominator
-                assert w_ge * t.numerator > s.bit_count() * t.denominator
+                w_g = len(components(g, cut))
+                w_ge = len(components(ge, cut))
+                assert w_g * t.numerator <= cut.bit_count() * t.denominator
+                assert w_ge * t.numerator > cut.bit_count() * t.denominator
                 assert w_ge == w_g + 1
                 # least mask among the size-minimal witnesses
-                assert s == min(found, key=lambda c: (c.bit_count(), c))
+                assert cut == min(found, key=lambda c: (c.bit_count(), c))
 
     def test_every_edge_of_minimally_tough_graph_has_witness(self):
         for g in graph_reps(6):
@@ -687,12 +682,13 @@ class TestRandomGraphProperties:
     @bounded
     @given(random_graphs())
     def test_witness_cut_revalidates(self, g):
-        value, witness = toughness_witness(g)
-        if witness is None:
+        value, cut = toughness_witness(g)
+        if cut is None:
             assert g.is_complete() and value is INFINITY
             return
-        assert witness.parts == len(components(g, witness.cut)) >= 2
-        assert Fraction(witness.cut.bit_count(), witness.parts) == witness.value == value
+        parts = len(components(g, cut))
+        assert parts >= 2
+        assert Fraction(cut.bit_count(), parts) == value
 
     @bounded
     @given(random_graphs())
@@ -811,10 +807,10 @@ class TestBoundedWalk:
     @given(random_trees())
     def test_tree_toughness_is_one_over_max_degree(self, g):
         top = max(g.degree(v) for v in range(g.n))
-        value, witness = toughness_witness(g)
+        value, cut = toughness_witness(g)
         assert value == Fraction(1, top)
         first = next(v for v in range(g.n) if g.degree(v) == top)
-        assert witness == ToughnessWitness(1 << first, top, value)
+        assert cut == 1 << first and len(components(g, cut)) == top
 
     @bounded
     @given(random_general_graphs(1, 3))
