@@ -3,10 +3,11 @@ separators, moplexes, and the neighborhood-order vertex predicates.
 
 A single set S is decided by the S-full-component test: S is a minimal
 separator exactly when G-S has at least two components in which every vertex
-of S has a neighbor. The full list comes from Berry-Bordat-Cogis generation
-at polynomial cost per separator. The walk over every vertex subset with the
-S-full test lives in ``verify`` as the oracle for both the generator and the
-clique-tree route.
+of S has a neighbor. One frontier walk grows each component together with
+its neighborhood and stops at the second full one. The full list comes from
+Berry-Bordat-Cogis generation at polynomial cost per separator. The walk
+over every vertex subset with the S-full test lives in ``verify`` as the
+oracle for both the generator and the clique-tree route.
 """
 
 from __future__ import annotations
@@ -140,10 +141,33 @@ def validate_clique_tree(g: Graph, tree: CliqueTree) -> None:
 
 
 def is_minimal_separator(g: Graph, s: int) -> bool:
-    """S-full test: at least two components of G-S see every vertex of S."""
+    """S-full test: at least two components of G-S see every vertex of S.
+
+    One walk grows each component C of G-S from a frontier and ORs every row
+    it reads into N(C), so each row outside S is read once; C is full when N(C)
+    covers S. The walk stops at the second full component. A mask with a
+    vertex outside the graph, or a negative one, raises GraphError.
+    """
+    full = g.full_mask
+    if s & ~full:
+        raise GraphError(f"vertex set {s} reaches outside 0..{g.n - 1}")
+    adj = g.adj
+    remaining = full ^ s
     full_components = 0
-    for comp in components(g, s):
-        if all(g.adj[v] & comp for v in bits(s)):
+    while remaining:
+        frontier = remaining & -remaining
+        remaining ^= frontier
+        hood = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            row = adj[low.bit_length() - 1]
+            hood |= row
+            new = row & remaining
+            if new:
+                remaining ^= new
+                frontier |= new
+        if not s & ~hood:
             full_components += 1
             if full_components == 2:
                 return True

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from toughlab import chordal
 from toughlab.chordal import (
     CliqueTree,
     clique_tree,
@@ -253,6 +254,23 @@ class TestMinimalSeparators:
     def test_generator_matches_walk_on_families(self, family, size):
         g = family(size)
         assert minimal_separators(g) == separators_by_walk(g)
+
+    @pytest.mark.parametrize("s", [1 << 5, 1 << 1 | 1 << 5, -1])
+    def test_s_full_test_refuses_a_mask_outside_the_graph(self, s):
+        with pytest.raises(GraphError):
+            is_minimal_separator(P4, s)
+
+    def test_s_full_test_builds_no_components_up_to_5(self, monkeypatch):
+        # one walk grows each component with its neighbourhood
+        built = []
+        real = chordal.components
+        monkeypatch.setattr(chordal, "components",
+                            lambda g, removed=0: built.append(removed) or real(g, removed))
+        for n in range(1, 6):
+            for g in graph_reps(n):
+                for s in range(1 << n):
+                    is_minimal_separator(g, s)
+        assert built == []
 
     def test_via_clique_tree_p4(self):
         tree = clique_tree(P4)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toughlab.chordal import is_chordal, minimal_separators
+from toughlab.chordal import is_chordal, is_minimal_separator, minimal_separators
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
@@ -42,7 +42,11 @@ from toughlab.toughness import (
     toughness_witness,
     vertex_connectivity,
 )
-from toughlab.verify import _minimal_separators_brute, _not_minimal_by_recomputation
+from toughlab.verify import (
+    _is_minimal_separator_direct,
+    _minimal_separators_brute,
+    _not_minimal_by_recomputation,
+)
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 
@@ -704,6 +708,14 @@ class TestRandomGraphProperties:
         assert found == _minimal_separators_brute(g)
         images = sorted(mask_of(order.index(v) for v in bits(s)) for s in found)
         assert minimal_separators(h) == images
+
+    @settings(bounded, max_examples=50)
+    @given(st.one_of(random_graphs(), random_chordal_graphs()))
+    def test_s_full_test_matches_definition_on_every_mask(self, g):
+        # past the n <= 7 of the verify suite; the definitional oracle costs
+        # up to about 0.1 s a graph at 12 vertices, hence half the budget
+        for s in range(1 << g.n):
+            assert is_minimal_separator(g, s) == _is_minimal_separator_direct(g, s), s
 
     @bounded
     @given(random_graphs())
