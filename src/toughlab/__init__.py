@@ -2,7 +2,6 @@
 machinery, with an exhaustive small-graph verifier and CLI."""
 
 from .chordal import (
-    CliqueTree,
     clique_tree,
     is_chordal,
     is_minimal_separator,
@@ -53,8 +52,6 @@ from .recognize import (
     universal_vertices,
 )
 from .toughness import (
-    Minimality,
-    MinimalityResult,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,

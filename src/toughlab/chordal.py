@@ -12,24 +12,10 @@ oracle for both the generator and the clique-tree route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph, GraphError, bits, components, from_edges, mask_of
-
-
-@dataclass(frozen=True)
-class CliqueTree:
-    """Maximal cliques of a connected chordal graph arranged as a tree.
-
-    For every vertex v the cliques containing v induce a subtree, so the
-    intersection of two adjacent cliques is contained in every clique on the
-    path between them.
-    """
-
-    cliques: tuple[int, ...]
-    tree_edges: tuple[tuple[int, int], ...]
 
 
 def is_clique(g: Graph, mask: int) -> bool:
@@ -91,8 +77,12 @@ def maximal_cliques(g: Graph) -> list[int]:
     return sorted(out)
 
 
-def clique_tree(g: Graph) -> CliqueTree:
-    """Maximum-weight spanning tree of the clique intersection graph.
+def clique_tree(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(cliques, tree_edges): the maximal cliques of a connected chordal
+    graph, sorted, and the pairs of indices into them that make a maximum-
+    weight spanning tree of the clique intersection graph. For every vertex v
+    the cliques containing v induce a subtree, so the intersection of two
+    adjacent cliques is contained in every clique on the path between them.
 
     Kruskal over pairs sorted by (-|Qi & Qj|, i, j); the lexicographic
     tie-break makes the tree deterministic. The groups of cliques already
@@ -118,24 +108,27 @@ def clique_tree(g: Graph) -> CliqueTree:
             edges.append((i, j))
             if len(edges) == k - 1:
                 break
-    return CliqueTree(tuple(cliques), tuple(edges))
+    return tuple(cliques), tuple(edges)
 
 
-def validate_clique_tree(g: Graph, tree: CliqueTree) -> None:
-    """Raise GraphError unless tree is a valid clique tree of g."""
-    if sorted(tree.cliques) != maximal_cliques(g):
+def validate_clique_tree(
+        g: Graph, tree: tuple[tuple[int, ...], tuple[tuple[int, int], ...]]) -> None:
+    """Raise GraphError unless tree, a (cliques, tree_edges) pair, is a
+    valid clique tree of g."""
+    cliques, tree_edges = tree
+    if sorted(cliques) != maximal_cliques(g):
         raise GraphError("clique tree nodes are not exactly the maximal cliques")
-    k = len(tree.cliques)
-    if len(tree.tree_edges) != k - 1:
+    k = len(cliques)
+    if len(tree_edges) != k - 1:
         raise GraphError("clique tree edge count is not node count minus one")
-    for i, j in tree.tree_edges:
+    for i, j in tree_edges:
         if not (0 <= i < k and 0 <= j < k) or i == j:
             raise GraphError("clique tree edge endpoints out of range")
-    forest = from_edges(k, tree.tree_edges)
+    forest = from_edges(k, tree_edges)
     if len(components(forest)) != 1:
         raise GraphError("clique tree edges do not form a tree")
     for v in range(g.n):
-        holding = mask_of(i for i, q in enumerate(tree.cliques) if q >> v & 1)
+        holding = mask_of(i for i, q in enumerate(cliques) if q >> v & 1)
         if len(components(forest, forest.full_mask & ~holding)) != 1:
             raise GraphError(f"cliques containing vertex {v} are not a subtree")
 
@@ -209,10 +202,12 @@ def minimal_separators(g: Graph) -> list[int]:
     return sorted(found)
 
 
-def minimal_separators_via_clique_tree(g: Graph, tree: CliqueTree) -> list[int]:
+def minimal_separators_via_clique_tree(
+        g: Graph, tree: tuple[tuple[int, ...], tuple[tuple[int, int], ...]]) -> list[int]:
     """Intersections of adjacent clique-tree nodes, deduplicated and sorted."""
     validate_clique_tree(g, tree)
-    return sorted({tree.cliques[i] & tree.cliques[j] for i, j in tree.tree_edges})
+    cliques, tree_edges = tree
+    return sorted({cliques[i] & cliques[j] for i, j in tree_edges})
 
 
 def moplexes(g: Graph) -> list[int]:

@@ -21,7 +21,7 @@ from .graphs import (GRAPH6_MAX_VERTICES, Graph, Graph6Error, GraphError, bits,
                      components, parse_graph6, read_graph6_lines, to_graph6)
 from .rational import format_toughness, is_finite
 from .recognize import is_interval_like, is_split, is_strongly_chordal
-from .toughness import Minimality, is_minimally_tough, toughness_witness
+from .toughness import is_minimally_tough, toughness_witness
 from .verify import (
     SCAN_CLASSES,
     SUITES,
@@ -121,7 +121,9 @@ def _build_parser() -> _Parser:
 
 def _analysis_record(g: Graph) -> dict:
     tau, cut = toughness_witness(g)
-    result = is_minimally_tough(g, tau=tau)
+    minimal, edge = is_minimally_tough(g, tau=tau)
+    verdict = ("complete" if not is_finite(tau) else "disconnected" if not tau
+               else "minimally_tough" if minimal else "not_minimal")
     record = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -129,8 +131,8 @@ def _analysis_record(g: Graph) -> dict:
         "tau": format_toughness(tau),
         "tau_num": tau.numerator if is_finite(tau) else None,
         "tau_den": tau.denominator if is_finite(tau) else None,
-        "verdict": result.verdict.value,
-        "witness_edge": list(result.witness_edge) if result.witness_edge else None,
+        "verdict": verdict,
+        "witness_edge": list(edge) if edge else None,
         "toughness_witness": (
             {"cut": sorted(bits(cut)), "parts": len(components(g, cut))}
             if cut is not None else None),
@@ -149,9 +151,9 @@ def _print_analysis(record: dict, out) -> None:
     out.write(f"n: {record['n']}  edges: {record['edges']}\n")
     out.write(f"toughness: {record['tau']}\n")
     verdict = record["verdict"]
-    if verdict == Minimality.MINIMALLY_TOUGH.value:
+    if verdict == "minimally_tough":
         out.write(f"minimally tough: yes (t = {record['tau']})\n")
-    elif verdict == Minimality.NOT_MINIMAL.value:
+    elif verdict == "not_minimal":
         u, v = record["witness_edge"]
         out.write(f"minimally tough: no (deleting edge ({u}, {v}) keeps toughness)\n")
     else:

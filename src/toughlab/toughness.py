@@ -33,8 +33,6 @@ and no float is ever involved in a decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -43,20 +41,6 @@ from typing import Iterator, Optional
 from .graphs import (Graph, GraphError, bits, components, separating_cuts, simplicial_mask,
                      subsets)
 from .rational import INFINITY, ToughnessValue, is_finite
-
-
-class Minimality(Enum):
-    MINIMALLY_TOUGH = "minimally_tough"
-    NOT_MINIMAL = "not_minimal"
-    COMPLETE = "complete"
-    DISCONNECTED = "disconnected"
-
-
-@dataclass(frozen=True)
-class MinimalityResult:
-    verdict: Minimality
-    toughness: ToughnessValue
-    witness_edge: Optional[tuple[int, int]] = None
 
 
 def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
@@ -172,13 +156,17 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
 
 
 @lru_cache(maxsize=1 << 15)
-def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> MinimalityResult:
-    """Does deleting any single edge strictly lower the toughness?
+def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
+                       ) -> tuple[bool, Optional[tuple[int, int]]]:
+    """(minimal, witness_edge): does deleting every single edge strictly
+    lower the toughness, and if not, the first edge in ``g.edges()`` order
+    that no cut lowers. (True, None) when every edge lowers tau, (False, e)
+    otherwise, and (False, None) for a complete or a disconnected graph,
+    which the caller tells apart by tau: INFINITY or 0.
 
     tau is tau(g) when the caller already has it from toughness_witness
     (``analyze`` does, with the witness cut), and is taken as given;
-    otherwise it comes from toughness(g). The degenerate verdicts are read
-    from tau: INFINITY is COMPLETE and 0 is DISCONNECTED.
+    otherwise it comes from toughness(g).
 
     With t = num/den = tau(G), deleting uv lowers tau exactly when some cut
     S avoiding u and v leaves them apart in (G-uv)-S with
@@ -188,12 +176,11 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
     edge; S = 0 covers bridges. At size k no cut qualifies once
     k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
     k with k*den < num*(n-k). The walk skips the simplicial vertices of
-    G-uv: those of G that are not common neighbours of u and v. witness_edge
-    is the first edge in ``g.edges()`` order that no cut lowers.
+    G-uv: those of G that are not common neighbours of u and v.
     """
     t = toughness(g) if tau is None else tau
     if t is INFINITY or not t:
-        return MinimalityResult(Minimality.COMPLETE if t else Minimality.DISCONNECTED, t)
+        return False, None
     num, den = t.numerator, t.denominator
     largest = (num * g.n - 1) // (num + den)
     simplicial = simplicial_mask(g)
@@ -204,8 +191,8 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None) -> Min
             if s.bit_count() * den < num * len(components(h, s)):
                 break
         else:
-            return MinimalityResult(Minimality.NOT_MINIMAL, t, (u, v))
-    return MinimalityResult(Minimality.MINIMALLY_TOUGH, t)
+            return False, (u, v)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .recognize import (
     universal_vertices,
 )
 from .toughness import (
-    Minimality,
     check_condition2_restricted,
     check_non_minimality_characterization,
     check_sufficient_condition,
@@ -280,8 +279,7 @@ def _nontrivial(g: Graph) -> bool:
 def _minimally_tough_in(g: Graph, in_range: Callable[[ToughnessValue], bool]) -> bool:
     """Minimally tough with tau in range; the edge test runs only once tau
     is known to be in range, and then finds it in the toughness cache."""
-    return in_range(toughness(g)) and \
-        is_minimally_tough(g).verdict is Minimality.MINIMALLY_TOUGH
+    return in_range(toughness(g)) and is_minimally_tough(g)[0]
 
 
 def _check_connectivity_bound(g: Graph):
@@ -448,21 +446,21 @@ def _check_wheel(g: Graph):
     """Wheels are minimally tough with tau = (n+1)/(n-1) or n/(n-2)."""
     n = g.n
     expected = Fraction(n + 1, n - 1) if n % 2 else Fraction(n, n - 2)
-    result = is_minimally_tough(g)
-    if result.toughness != expected:
-        yield f"wheel({n}) tau={result.toughness}, expected {expected}"
-    elif result.verdict is not Minimality.MINIMALLY_TOUGH:
+    t = toughness(g)
+    if t != expected:
+        yield f"wheel({n}) tau={t}, expected {expected}"
+    elif not is_minimally_tough(g)[0]:
         yield f"wheel({n}) is not minimally tough"
 
 
 def _check_matched_cliques(g: Graph):
     """Matched cliques are claw-free, k-connected, minimally (k/2)-tough."""
     k = g.n // 2
-    result = is_minimally_tough(g)
-    if result.toughness != Fraction(k, 2):
-        yield f"matched_cliques({k}) tau={result.toughness}"
+    t = toughness(g)
+    if t != Fraction(k, 2):
+        yield f"matched_cliques({k}) tau={t}"
         return
-    if result.verdict is not Minimality.MINIMALLY_TOUGH:
+    if not is_minimally_tough(g)[0]:
         yield f"matched_cliques({k}) not minimally tough"
     if vertex_connectivity(g) != k:
         yield f"matched_cliques({k}) kappa != {k}"

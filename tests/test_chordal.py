@@ -8,7 +8,6 @@ import pytest
 
 from toughlab import chordal
 from toughlab.chordal import (
-    CliqueTree,
     clique_tree,
     is_chordal,
     is_clique,
@@ -137,13 +136,12 @@ class TestMaximalCliques:
 
 class TestCliqueTree:
     def test_p4_tree(self):
-        tree = clique_tree(P4)
-        assert tree.cliques == (mask_of([0, 1]), mask_of([1, 2]), mask_of([2, 3]))
-        assert set(tree.tree_edges) == {(0, 1), (1, 2)}
+        cliques, tree_edges = clique_tree(P4)
+        assert cliques == (mask_of([0, 1]), mask_of([1, 2]), mask_of([2, 3]))
+        assert set(tree_edges) == {(0, 1), (1, 2)}
 
     def test_k4_single_node(self):
-        tree = clique_tree(K4)
-        assert tree.cliques == (K4.full_mask,) and tree.tree_edges == ()
+        assert clique_tree(K4) == ((K4.full_mask,), ())
 
     def test_rejects_non_chordal(self):
         with pytest.raises(GraphError):
@@ -158,12 +156,11 @@ class TestCliqueTree:
             validate_clique_tree(g, clique_tree(g))
 
     def test_validator_rejects_bad_tree(self):
-        tree = clique_tree(P4)
-        bad = CliqueTree(tree.cliques, ((0, 2), (1, 2)))  # subtree property broken at vertex 2? no: wrong edges
+        cliques, tree_edges = clique_tree(P4)
+        with pytest.raises(GraphError):  # vertex 1's cliques 0, 1 meet only through 2
+            validate_clique_tree(P4, (cliques, ((0, 2), (1, 2))))
         with pytest.raises(GraphError):
-            validate_clique_tree(P4, bad)
-        with pytest.raises(GraphError):
-            validate_clique_tree(P4, CliqueTree(tree.cliques[:2], tree.tree_edges[:1]))
+            validate_clique_tree(P4, (cliques[:2], tree_edges[:1]))
 
     @pytest.mark.parametrize("g, cliques, edges, message", [
         (P4, None, ((0, 1),), "clique tree edge count is not node count minus one"),
@@ -180,9 +177,8 @@ class TestCliqueTree:
             "self-loop", "broken-subtree", "broken-subtree-at-0", "wrong-clique-set"])
     def test_validator_messages(self, g, cliques, edges, message):
         # P4's cliques are {0,1}, {1,2}, {2,3}, in that order
-        tree = clique_tree(g)
         with pytest.raises(GraphError) as caught:
-            validate_clique_tree(g, CliqueTree(tree.cliques[:cliques], edges))
+            validate_clique_tree(g, (clique_tree(g)[0][:cliques], edges))
         assert str(caught.value) == message
 
     def test_validator_against_networkx(self):
@@ -194,7 +190,7 @@ class TestCliqueTree:
         cases = 0
         for n in range(1, 6):
             for g in connected_chordal_reps(n):
-                cliques = clique_tree(g).cliques
+                cliques = clique_tree(g)[0]
                 k = len(cliques)
                 if k > 4:
                     continue
@@ -210,7 +206,7 @@ class TestCliqueTree:
                             [i for i, q in enumerate(cliques) if q >> v & 1]))
                             for v in range(g.n)))
                     try:
-                        validate_clique_tree(g, CliqueTree(cliques, edges))
+                        validate_clique_tree(g, (cliques, edges))
                     except GraphError:
                         assert invalid, (g, edges)
                     else:

@@ -121,6 +121,20 @@ class TestAnalyze:
         digest = "e10a23e238fa887b608c7aa0ed4bf4f874baf0944ae95cc577e87f3491673088"
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_text_reports_of_all_small_classes_pinned_by_digest(self, capsys, monkeypatch):
+        # the same 208 classes as plain text: 114 "deleting edge (u, v) keeps
+        # toughness" lines, 23 minimally tough, 6 complete, 65 disconnected
+        lines = [to_graph6(g) for n in range(1, 7) for g in graph_reps(n)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(g6 + "\n" for g6 in lines)))
+        assert main(["analyze", "-"]) == EXIT_OK
+        out = capsys.readouterr().out
+        verdicts = [line.split(" (")[0] for line in out.splitlines()
+                    if line.startswith("minimally tough: ")]
+        assert [verdicts.count(f"minimally tough: {v}") for v in
+                ("no", "yes", "complete", "disconnected")] == [114, 23, 6, 65]
+        digest = "1c70c85a5f5e48b6e992489a82fc9e99d62f264ab9adcd2004b59caeb48549b9"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestScan:
     def test_chordal_scan_exit_zero(self, capsys):

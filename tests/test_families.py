@@ -19,7 +19,7 @@ from toughlab.families import (
 )
 from toughlab.graphs import GraphError, mask_of
 from toughlab.recognize import find_induced_claw, is_independent, is_split, is_strongly_chordal
-from toughlab.toughness import Minimality, is_minimally_tough, vertex_connectivity
+from toughlab.toughness import is_minimally_tough, toughness, vertex_connectivity
 
 
 class TestConstructions:
@@ -86,25 +86,22 @@ class TestConstructions:
 class TestFamilyFacts:
     def test_stars_minimally_tough(self):
         for leaves in range(2, 7):
-            result = is_minimally_tough(star(leaves))
-            assert result.verdict is Minimality.MINIMALLY_TOUGH
-            assert result.toughness == Fraction(1, leaves)
+            assert is_minimally_tough(star(leaves))[0]
+            assert toughness(star(leaves)) == Fraction(1, leaves)
 
     def test_wheels_formula_and_minimality(self):
         for n in range(5, 11):
             expected = Fraction(n + 1, n - 1) if n % 2 else Fraction(n, n - 2)
-            result = is_minimally_tough(wheel(n))
-            assert result.toughness == expected
-            assert result.verdict is Minimality.MINIMALLY_TOUGH
+            assert toughness(wheel(n)) == expected
+            assert is_minimally_tough(wheel(n))[0]
 
     def test_matched_cliques_facts(self):
         for k in (3, 4):
             g = matched_cliques(k)
             assert find_induced_claw(g) is None
             assert vertex_connectivity(g) == k
-            result = is_minimally_tough(g)
-            assert result.toughness == Fraction(k, 2)
-            assert result.verdict is Minimality.MINIMALLY_TOUGH
+            assert toughness(g) == Fraction(k, 2)
+            assert is_minimally_tough(g)[0]
 
     def test_sun_class_memberships(self):
         for k in (3, 4):

@@ -28,8 +28,6 @@ from toughlab.graphs import (
 )
 from toughlab.rational import INFINITY
 from toughlab.toughness import (
-    Minimality,
-    MinimalityResult,
     _independence_number,
     check_condition2_restricted,
     check_non_minimality_characterization,
@@ -71,14 +69,11 @@ def toughness_oracle(g):
 
 
 def recomputed_minimality(g):
-    """MinimalityResult from recomputing tau(G - e) for every edge."""
-    if g.is_complete():
-        return MinimalityResult(Minimality.COMPLETE, INFINITY)
-    if not g.is_connected():
-        return MinimalityResult(Minimality.DISCONNECTED, Fraction(0))
+    """(minimal, witness_edge) from recomputing tau(G - e) for every edge."""
+    if g.is_complete() or not g.is_connected():
+        return False, None
     edge = _not_minimal_by_recomputation(g)
-    verdict = Minimality.MINIMALLY_TOUGH if edge is None else Minimality.NOT_MINIMAL
-    return MinimalityResult(verdict, toughness(g), edge)
+    return edge is None, edge
 
 
 def unpruned_toughness_witness(g):
@@ -222,59 +217,62 @@ class TestIsTTough:
 
 class TestMinimallyTough:
     def test_star3(self):
-        result = is_minimally_tough(star(3))
-        assert result.verdict is Minimality.MINIMALLY_TOUGH
-        assert result.toughness == Fraction(1, 3)
+        assert is_minimally_tough(star(3)) == (True, None)
+        assert toughness(star(3)) == Fraction(1, 3)
 
     def test_wheel6(self):
-        result = is_minimally_tough(wheel(6))
-        assert result.verdict is Minimality.MINIMALLY_TOUGH
-        assert result.toughness == Fraction(3, 2)
+        assert is_minimally_tough(wheel(6)) == (True, None)
+        assert toughness(wheel(6)) == Fraction(3, 2)
 
     def test_paw_not_minimal(self):
         # deleting (0,1) leaves the path 1-2-0-3 whose toughness is still 1/2
-        result = is_minimally_tough(PAW)
-        assert result.verdict is Minimality.NOT_MINIMAL
-        assert result.witness_edge == (0, 1)
-        survivor = PAW.without_edge(*result.witness_edge)
+        assert is_minimally_tough(PAW) == (False, (0, 1))
+        survivor = PAW.without_edge(0, 1)
         assert toughness(survivor) == toughness(PAW) == Fraction(1, 2)
 
     def test_sun3_not_minimal(self):
         assert toughness(k_sun(3)) == 1
-        assert is_minimally_tough(k_sun(3)).verdict is Minimality.NOT_MINIMAL
+        assert not is_minimally_tough(k_sun(3))[0]
 
     def test_complete_and_disconnected_verdicts(self):
-        assert is_minimally_tough(complete(3)).verdict is Minimality.COMPLETE
-        assert is_minimally_tough(from_edges(2, [])).verdict is Minimality.DISCONNECTED
+        # no edge to name: the caller tells the two apart by tau
+        for g, tau in [(complete(1), INFINITY), (complete(3), INFINITY),
+                       (from_edges(2, []), 0), (from_edges(3, []), 0),
+                       (from_edges(4, [(0, 1), (2, 3)]), 0)]:  # the last is 2K2
+            assert toughness(g) == tau, g
+            assert is_minimally_tough(g) == (False, None), g
 
     def test_disconnected_verdict_read_from_cached_tau(self, monkeypatch):
         g = from_edges(4, [(0, 1), (2, 3)])
         assert toughness(g) == 0
         counted = counted_components(monkeypatch)
         # past the verdict cache, the verdict comes from the cached tau alone
-        assert is_minimally_tough.__wrapped__(g).verdict is Minimality.DISCONNECTED
+        assert is_minimally_tough.__wrapped__(g) == (False, None)
         assert counted == []
 
     def test_witness_edge_preserves_toughness(self):
         for g in graph_reps(5):
-            result = is_minimally_tough(g)
-            if result.verdict is Minimality.NOT_MINIMAL:
-                kept = g.without_edge(*result.witness_edge)
-                assert toughness(kept) == result.toughness
+            edge = is_minimally_tough(g)[1]
+            if edge is not None:
+                kept = g.without_edge(*edge)
+                assert toughness(kept) == toughness(g)
 
     def test_matches_recomputation(self):
-        # verdict, tau and witness_edge all agree with per-edge recomputation
+        # the answer and witness_edge agree with per-edge recomputation
         graphs = list(_reps_through(7)) + list(connected_chordal_reps(8))
         graphs += [wheel(n) for n in range(5, 13)]
         graphs += [matched_cliques(k) for k in range(3, 6)]
         graphs += [star(leaves) for leaves in range(2, 9)]
         graphs += [k_sun(k) for k in (3, 4)]
-        verdicts = set()
+        shapes = set()
         for g in graphs:
-            result = is_minimally_tough(g)
-            assert result == recomputed_minimality(g), g
-            verdicts.add(result.verdict)
-        assert verdicts == set(Minimality)
+            minimal, edge = answer = is_minimally_tough(g)
+            assert answer == recomputed_minimality(g), g
+            tau = toughness(g)
+            shapes.add((tau is INFINITY, tau == 0, minimal, edge is None))
+        # complete, disconnected, minimally tough and not minimal, each met
+        assert shapes == {(True, False, False, True), (False, True, False, True),
+                          (False, False, True, True), (False, False, False, False)}
 
 
 class TestDisjointPaths:
@@ -464,7 +462,7 @@ class TestSufficientCondition:
                 continue
             t = toughness(g)
             if check_sufficient_condition(g, t) is not None:
-                assert is_minimally_tough(g).verdict is not Minimality.MINIMALLY_TOUGH
+                assert not is_minimally_tough(g)[0]
 
 
 class TestEdgeWitnessSets:
@@ -516,7 +514,7 @@ class TestEdgeWitnessSets:
         for g in graph_reps(6):
             if g.is_complete() or not g.is_connected():
                 continue
-            if is_minimally_tough(g).verdict is not Minimality.MINIMALLY_TOUGH:
+            if not is_minimally_tough(g)[0]:
                 continue
             for edge in g.edges():
                 assert find_edge_witness_set(g, edge) is not None
@@ -681,7 +679,7 @@ class TestRandomGraphProperties:
     def test_toughness_and_verdict_survive_relabeling(self, pair):
         g, h = pair
         assert toughness(h) == toughness(g)
-        assert is_minimally_tough(h).verdict is is_minimally_tough(g).verdict
+        assert is_minimally_tough(h)[0] is is_minimally_tough(g)[0]
 
     @bounded
     @given(random_graphs())
