@@ -45,6 +45,14 @@ def mask_of(vertices) -> int:
     return m
 
 
+def _lowest_runs(pool: int) -> list[int]:
+    """[i]: the i lowest bits of the mask pool, for i = 0..|pool|."""
+    runs = [0]
+    for v in bits(pool):
+        runs.append(runs[-1] | 1 << v)
+    return runs
+
+
 def subsets(pool: int, size: int) -> Iterator[int]:
     """Yield every size-element subset of the mask pool in increasing order.
 
@@ -52,9 +60,7 @@ def subsets(pool: int, size: int) -> Iterator[int]:
     lowest bit of x to x | ~pool clears the lowest run of x and sets the next
     free bit of pool; all but one bit of the run return to the bottom of pool.
     """
-    lowest = [0]  # lowest[i]: the i lowest bits of pool
-    for v in bits(pool):
-        lowest.append(lowest[-1] | 1 << v)
+    lowest = _lowest_runs(pool)
     if size >= len(lowest):
         return
     x = lowest[size]
@@ -326,6 +332,36 @@ def read_graph6_lines(source) -> Iterator[Graph]:
 # exploring every non-equivalent completion and taking the least key.
 # ---------------------------------------------------------------------------
 
+def _member_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """The set bits of every mask below 2**width, as tuples in increasing
+    order: the members of m + 2**v, for m below 2**v, are those of m then v."""
+    table: tuple[tuple[int, ...], ...] = ((),)
+    for v in range(width):
+        table += tuple(m + (v,) for m in table)
+    return table
+
+
+# _MEMBERS[m]: the vertices of mask m, for every mask canonical labeling meets
+_MEMBERS = _member_table(_CANONICAL_MAX)
+
+
+def _twin_masks(adj) -> list[int]:
+    """Mask of each vertex's twin class: the vertices with the same open
+    neighbourhood N(v) or the same closed one N[v].
+
+    One dict keyed by the row serves both kinds, because no N[v] equals any
+    N(w): it would put w in N[v], so w in N(w). Nor has a vertex twins of
+    both kinds: with N[u] = N[v] and N(w) = N(v), u lies in N(w), so w in
+    N[u] = N[v] and w in N(w). So the classes partition the vertices, and
+    any permutation inside one class is an automorphism.
+    """
+    sharing: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        sharing[row] = sharing.get(row, 0) | 1 << v
+        sharing[row | 1 << v] = sharing.get(row | 1 << v, 0) | 1 << v
+    return [sharing[row] | sharing[row | 1 << v] for v, row in enumerate(adj)]
+
+
 def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
     """Recolor each vertex by the rank of (its color, its neighbors' sorted
     colors) until no class splits; the result numbers the classes densely.
@@ -336,16 +372,17 @@ def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
     fixpoint, and its ranks are the classes renumbered in color order:
     exactly what one more round would return.
     """
-    classes = len(set(colors))
     while True:
+        sizes = [0] * (max(colors) + 1)  # the colors passed in need not be dense
+        for c in colors:
+            sizes[c] += 1
         color_of = colors.__getitem__
-        sigs = [(c, *sorted(map(color_of, nbrs))) if colors.count(c) > 1 else (c,)
+        sigs = [(c, *sorted(map(color_of, nbrs))) if sizes[c] > 1 else (c,)
                 for c, nbrs in zip(colors, neighbors)]
         ranked = sorted(set(sigs))
         colors = tuple(map({s: i for i, s in enumerate(ranked)}.__getitem__, sigs))
-        if len(ranked) == classes:
+        if len(ranked) == len(sizes) - sizes.count(0):  # no class split
             return colors
-        classes = len(ranked)
 
 
 def _canonical_order(g: Graph) -> tuple[int, ...]:
@@ -354,7 +391,8 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
         raise GraphError(f"canonical labeling limited to {_CANONICAL_MAX} vertices")
     n = g.n
     adj = g.adj
-    neighbors = [tuple(bits(row)) for row in adj]
+    neighbors = [_MEMBERS[row] for row in adj]
+    twins = _twin_masks(adj)
     best_key = 1 << n * (n - 1) // 2  # above every key
     best_order: tuple[int, ...] = tuple(range(n))
 
@@ -370,21 +408,22 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 
     def descend(colors):
         nonlocal best_key, best_order
-        # refined colors are dense, so the classes are 0..max(colors)
-        target = next((c for c in range(n) if colors.count(c) > 1), None)
-        if target is None:
+        # refined colors are dense: classes 0..max(colors), all singletons
+        # at a leaf, and otherwise the least repeated color is the target
+        if max(colors) == n - 1:
             order = tuple(sorted(range(n), key=colors.__getitem__))
             key = leaf_key(order)
             if key < best_key:
                 best_key, best_order = key, order
             return
-        tried = []
+        ranks = sorted(colors)
+        target = next(c for c, d in zip(ranks, ranks[1:]) if c == d)
+        tried = 0  # one vertex per twin class: swapping twins is an automorphism
         doubled = [c * 2 for c in colors]
         for v in range(n):
-            if colors[v] != target or any(
-                    not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) for u in tried):
+            if colors[v] != target or twins[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             doubled[v] += 1
             descend(_refine(neighbors, tuple(doubled)))
             doubled[v] -= 1
@@ -397,16 +436,12 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 def relabel(g: Graph, order) -> Graph:
     """Graph with original vertex order[p] placed at position p."""
     n = g.n
-    pos = [0] * n
+    order = tuple(order)
+    place = [0] * n
     for p, v in enumerate(order):
-        pos[v] = p
-    rows = [0] * n
-    for v in range(n):
-        r = 0
-        for u in bits(g.adj[v]):
-            r |= 1 << pos[u]
-        rows[pos[v]] = r
-    return Graph._unchecked(n, rows)
+        place[v] = 1 << p
+    members = _MEMBERS.__getitem__ if n <= _CANONICAL_MAX else bits
+    return Graph._unchecked(n, [sum(map(place.__getitem__, members(g.adj[v]))) for v in order])
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -439,13 +474,34 @@ def _children(parent: Graph, neighborhoods: Iterable[int],
     degree test reads the parent: u has child degree deg(u) + [u in K] and
     is simplicial in the child iff it is in the parent and, if u is in K,
     N(u) lies in K.
+
+    Of the neighborhoods that one permutation inside the parent's twin
+    classes (``_twin_masks``) maps onto each other, only the one that meets
+    every class T in its |K & T| lowest vertices is grown. Such a
+    permutation s is an automorphism of the parent: it maps cliques to
+    cliques and keeps the simplicial mask, and the child over s(K) is the
+    child over K relabeled by s with x fixed. So the two children are
+    isomorphic, and x passes the invariant test in one exactly when it does
+    in the other. The lowest-run neighborhood lies in the same orbit, is
+    itself in the family (all masks, or the nonempty cliques), and keeps
+    the key.
     """
     adj = parent.adj
     # at_least[k]: the parent's vertices of degree >= k; [-1] is empty
     at_least = [sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= k)
                 for k in range(parent.n + 2)]
+    # lowest_runs: the unions, over the twin classes of two or more, of one
+    # lowest run of each class; K is grown iff K & paired is one of them
+    paired = 0
+    lowest_runs = {0}
+    for twins in set(_twin_masks(adj)):
+        if twins & twins - 1:
+            paired |= twins
+            lowest_runs = {low | run for low in lowest_runs for run in _lowest_runs(twins)}
     keys = set()
     for nb in neighborhoods:
+        if nb & paired not in lowest_runs:
+            continue
         d = nb.bit_count()
         deletable = -1 if simplicial is None else simplicial & ~sum(
             1 << u for u in bits(simplicial & nb) if adj[u] & ~nb)

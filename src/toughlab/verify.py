@@ -297,6 +297,15 @@ def _check_witness_sets(g: Graph):
             yield f"edge {edge} has no witness set"
 
 
+def _put_back(g: Graph, comps: list[int], w: int) -> list[int]:
+    """components(g, s ^ (1 << w)) from comps = components(g, s), for w in
+    s: w joins the components its neighbourhood touches into one, and the
+    list stays ordered by least vertex."""
+    near = g.adj[w]
+    joined = sum(c for c in comps if c & near) | 1 << w
+    return sorted([c for c in comps if not c & near] + [joined], key=lambda c: c & -c)
+
+
 def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     """Definitional oracle: a minimal u-v separator for some pair u, v.
 
@@ -306,7 +315,7 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     comps = components(g, s)
     if len(comps) < 2:
         return False
-    deleted = [components(g, s ^ (1 << w)) for w in bits(s)]
+    deleted = [_put_back(g, comps, w) for w in bits(s)]
     outside = [v for v in range(g.n) if not s >> v & 1]
     for u, v in combinations(outside, 2):
         if separates(comps, u, v) and not any(separates(c, u, v) for c in deleted):

@@ -472,10 +472,13 @@ class TestEnumeration:
          "262f21123d9371a0d675a892263ad4855a70894945a50ce1b87cc2c7176a4219"),
         (connected_chordal_reps, 8, 1614,
          "3ec33fcd6a86cd8c12ce38bc738de034b8e8a6818914877c87745722d0490588"),
+        (connected_chordal_reps, 9, 11911,
+         "1360c01a31fa62718225c8e1c37303de1040878e37e80494fce0bd7e56283679"),
     ])
     def test_enumeration_pinned_by_digest(self, reps, n, count, digest):
         # SHA-256 of the newline-terminated graph6 keys, measured on the
-        # serial enumeration that kept one dict of graphs per level
+        # serial enumeration that kept one dict of graphs per level (n = 9
+        # before the children were cut to one per twin orbit)
         keys = [to_graph6(g) for g in reps(n)]
         assert len(keys) == count
         assert hashlib.sha256("".join(k + "\n" for k in keys).encode()).hexdigest() == digest
@@ -493,12 +496,60 @@ class TestEnumeration:
                      for g in parents for nb in neighborhoods(g)}
             assert set().union(*map(children, parents)) == every
 
+    @pytest.mark.parametrize("reps, n_max, children, neighborhoods, deletable", [
+        (graph_reps, 5, graphs._any_children, lambda g: range(1 << g.n),
+         lambda g: g.full_mask),
+        (connected_chordal_reps, 7, graphs._chordal_children,
+         lambda g: graphs.clique_masks(g)[1:], graphs.simplicial_mask),
+    ], ids=["graph_reps", "connected_chordal_reps"])
+    def test_each_parent_keeps_the_children_of_largest_invariant(
+            self, reps, n_max, children, neighborhoods, deletable):
+        # oracle, per parent: the children whose new vertex x has no
+        # deletable vertex of larger (degree, sorted neighbour degrees),
+        # read off the child itself; a class that moved from one parent to
+        # another would keep the union of the levels unchanged
+        def invariant(g, v):
+            return g.degree(v), sorted(g.degree(u) for u in bits(g.adj[v]))
+
+        for n in range(1, n_max + 1):
+            for parent in reps(n):
+                kept = set()
+                for nb in neighborhoods(parent):
+                    child = _augment(parent, nb)
+                    mine = invariant(child, n)
+                    if all(invariant(child, w) <= mine for w in bits(deletable(child))):
+                        kept.add(to_graph6(canonical_graph(child)))
+                assert children(parent) == kept, to_graph6(parent)
+
+    @pytest.mark.parametrize("children, parent, labelings", [
+        (graphs._chordal_children, complete(8), 2),
+        (graphs._chordal_children, star(7), 2),
+        (graphs._any_children, complete_multipartite(2, 3, 3), 5),
+        (graphs._any_children, complete_multipartite(3, 4), 7),
+    ], ids=["K8", "star7", "K2,3,3", "K3,4"])
+    def test_twin_orbits_bound_the_labelings_of_a_parent(
+            self, monkeypatch, children, parent, labelings):
+        # one neighbourhood per twin orbit: K_8 grows over 8 of its 255
+        # cliques, K_{3,4} over 20 of its 128 masks, before the invariant
+        # test; without the orbit skip these take 9, 8, 10 and 30 labelings
+        label = graphs.canonical_graph
+        made = []
+
+        def counted(g):
+            made.append(g)
+            return label(g)
+
+        monkeypatch.setattr(graphs, "canonical_graph", counted)
+        children(parent)
+        assert len(made) == labelings
+
     @pytest.mark.parametrize("reps, n, labelings", [
-        (graph_reps, 7, 2091), (connected_chordal_reps, 8, 2429),
+        (graph_reps, 7, 1425), (connected_chordal_reps, 8, 1883),
     ])
     def test_invariant_rejection_bounds_the_labelings(self, monkeypatch, reps, n, labelings):
-        # labeling every child takes 9984 and 7268 calls at these levels; a
-        # rejection that stops rejecting shows here, not in the classes
+        # labeling every child takes 9984 and 7268 calls at these levels, the
+        # invariant test alone 2091 and 2429; a rejection or a twin-orbit
+        # skip that stops rejecting shows here, not in the classes
         level = reps(n)
         label = graphs.canonical_graph
         made = []

@@ -35,6 +35,7 @@ from toughlab.verify import (
     ScanReport,
     SUITES,
     _minimally_tough_in,
+    _put_back,
     _scan_worker,
     classify_counterexample,
     emit_report,
@@ -130,6 +131,16 @@ class TestRunSuite:
         assert {d for _, d in report.violations} == {
             "generated separators differ from the S-full walk"}
         assert to_graph6(canonical_graph(cycle(6))) in {g6 for g6, _ in report.violations}
+
+    def test_put_back_merges_like_a_fresh_search_up_to_6(self):
+        # the separator oracle's single-vertex deletions, against the
+        # components of g - (s - w) built from scratch
+        for n in range(1, 7):
+            for g in graph_reps(n):
+                for s in range(1 << n):
+                    comps = components(g, s)
+                    for w in bits(s):
+                        assert _put_back(g, comps, w) == components(g, s ^ 1 << w), (s, w)
 
     def test_report_fields(self):
         report = run_suite("thm_dirac", 4)
