@@ -46,6 +46,7 @@ from .graphs import (
     level_map,
     parse_graph6,
     separates,
+    simplicial_mask,
     to_graph6,
 )
 from .rational import (ToughnessValue, at_most_one, exceeds_half, in_half_one_interval,
@@ -310,22 +311,43 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     """Definitional oracle: a minimal u-v separator for some pair u, v.
 
     Separation is monotone under growing the cut, so minimality only needs
-    the single-vertex deletions of s.
+    the single-vertex deletions of s. Each component of G - S lies inside one
+    component of every G - (S - w), so the least vertex of each component
+    stands for all of it. G - (S - w) is built when a pair first needs it,
+    and a pair is dropped at the first w such that S - w still separates it.
     """
     comps = components(g, s)
     if len(comps) < 2:
         return False
-    deleted = [_put_back(g, comps, w) for w in bits(s)]
-    outside = [v for v in range(g.n) if not s >> v & 1]
-    for u, v in combinations(outside, 2):
-        if separates(comps, u, v) and not any(separates(c, u, v) for c in deleted):
+    least = [(c & -c).bit_length() - 1 for c in comps]
+    deleted: dict[int, list[int]] = {}
+    for u, v in combinations(least, 2):
+        for w in bits(s):
+            if w not in deleted:
+                deleted[w] = _put_back(g, comps, w)
+            if separates(deleted[w], u, v):
+                break
+        else:
             return True
     return False
 
 
 def _minimal_separators_brute(g: Graph) -> list[int]:
-    """Oracle: every vertex subset that passes the S-full test, by mask."""
-    return [s for s in range(1 << g.n) if is_minimal_separator(g, s)]
+    """Oracle: every vertex subset that passes the S-full test, by mask.
+
+    Only subsets of the non-simplicial vertices are walked. If S holds a
+    simplicial w, then N(w) - S lies inside one clique, so at most one
+    component of G - S sees w and S fails the S-full test. The submasks of
+    the pool come in increasing order, so the list stays sorted by mask.
+    """
+    pool = g.full_mask & ~simplicial_mask(g)
+    found, s = [], 0
+    while True:
+        if is_minimal_separator(g, s):
+            found.append(s)
+        s = (s - pool) & pool
+        if not s:
+            return found
 
 
 def _not_minimal_by_recomputation(g: Graph) -> Optional[tuple[int, int]]:
@@ -342,14 +364,17 @@ def _not_minimal_by_recomputation(g: Graph) -> Optional[tuple[int, int]]:
 
 
 def _check_minseparator(g: Graph):
-    """S-full characterization agrees with the definitional minimal separator,
-    and the generator lists exactly the subsets that pass it."""
-    walked = _minimal_separators_brute(g)
-    passing = set(walked)
+    """S-full characterization agrees with the definitional minimal separator
+    on every mask, and the generator lists exactly the masks that pass it.
+    This walks every mask, the ones _minimal_separators_brute skips too."""
+    passing = []
     for s in range(1 << g.n):
-        if (s in passing) != _is_minimal_separator_direct(g, s):
+        full = is_minimal_separator(g, s)
+        if full:
+            passing.append(s)
+        if full != _is_minimal_separator_direct(g, s):
             yield f"S-full test disagrees on cut mask {s}"
-    if minimal_separators(g) != walked:
+    if minimal_separators(g) != passing:
         yield "generated separators differ from the S-full walk"
 
 

@@ -23,6 +23,7 @@ from toughlab.graphs import (
     mask_of,
     parse_graph6,
     relabel,
+    separates,
     simplicial_mask,
     to_graph6,
 )
@@ -44,6 +45,7 @@ from toughlab.verify import (
     _is_minimal_separator_direct,
     _minimal_separators_brute,
     _not_minimal_by_recomputation,
+    _put_back,
 )
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
@@ -707,11 +709,10 @@ class TestRandomGraphProperties:
         images = sorted(mask_of(order.index(v) for v in bits(s)) for s in found)
         assert minimal_separators(h) == images
 
-    @settings(bounded, max_examples=50)
+    @bounded
     @given(st.one_of(random_graphs(), random_chordal_graphs()))
     def test_s_full_test_matches_definition_on_every_mask(self, g):
-        # past the n <= 7 of the verify suite; the definitional oracle costs
-        # up to about 0.1 s a graph at 12 vertices, hence half the budget
+        # past the n <= 7 of the verify suite
         for s in range(1 << g.n):
             assert is_minimal_separator(g, s) == _is_minimal_separator_direct(g, s), s
 
@@ -727,6 +728,59 @@ class TestRandomGraphProperties:
             return
         t = toughness(g)
         assert 2 * t.numerator <= vertex_connectivity(g) * t.denominator
+
+
+def separators_over_every_mask(g):
+    """Reference for the restricted walk: the S-full test on all 2^n masks."""
+    return [s for s in range(1 << g.n) if is_minimal_separator(g, s)]
+
+
+def minimal_separator_all_pairs(g, s):
+    """Reference for the direct oracle: every pair of vertices outside s,
+    against every single-vertex deletion of s built up front."""
+    comps = components(g, s)
+    if len(comps) < 2:
+        return False
+    deleted = [_put_back(g, comps, w) for w in bits(s)]
+    outside = [v for v in range(g.n) if not s >> v & 1]
+    for u, v in combinations(outside, 2):
+        if separates(comps, u, v) and not any(separates(c, u, v) for c in deleted):
+            return True
+    return False
+
+
+class TestSeparatorOracles:
+    """The verifier's separator oracles against their plain forms, past the
+    suites' bounds: the walk over subsets of the non-simplicial vertices
+    against the walk over every mask, and the direct oracle that tests one
+    vertex per component against the one that tests every pair."""
+
+    def test_restricted_walk_matches_every_mask_up_to_7(self):
+        for g in _reps_through(7):
+            assert _minimal_separators_brute(g) == separators_over_every_mask(g), to_graph6(g)
+
+    def test_restricted_walk_matches_every_mask_on_chordal_up_to_8(self):
+        for n in range(1, 9):
+            for g in connected_chordal_reps(n):
+                assert _minimal_separators_brute(g) == separators_over_every_mask(g), \
+                    to_graph6(g)
+
+    @bounded
+    @given(st.one_of(random_graphs(), random_chordal_graphs()))
+    def test_restricted_walk_matches_every_mask_on_random_graphs(self, g):
+        assert _minimal_separators_brute(g) == separators_over_every_mask(g)
+
+    def test_direct_oracle_matches_all_pairs_up_to_6(self):
+        for g in _reps_through(6):
+            for s in range(1 << g.n):
+                assert _is_minimal_separator_direct(g, s) == \
+                    minimal_separator_all_pairs(g, s), (to_graph6(g), s)
+
+    @bounded
+    @given(random_graphs())
+    def test_direct_oracle_matches_all_pairs_on_random_graphs(self, g):
+        for s in range(1 << g.n):
+            assert _is_minimal_separator_direct(g, s) == minimal_separator_all_pairs(g, s), s
 
 
 class TestRandomChordalGraphs:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from toughlab.chordal import is_minimal_separator
 from toughlab.cli import EXIT_OK, main
 from toughlab.families import cycle, k_sun, star, wheel
 from toughlab.graphs import (
@@ -131,6 +132,23 @@ class TestRunSuite:
         assert {d for _, d in report.violations} == {
             "generated separators differ from the S-full walk"}
         assert to_graph6(canonical_graph(cycle(6))) in {g6 for g6, _ in report.violations}
+
+    def test_cliquetree_suite_fails_when_every_vertex_is_simplicial(self, monkeypatch):
+        # the restricted walk then tries only the empty set, and misses the
+        # separators of each of the 19 noncomplete connected chordal classes
+        monkeypatch.setattr("toughlab.verify.simplicial_mask", lambda g: g.full_mask)
+        report = run_suite("prop_cliquetree_separators", 5)
+        assert report.graphs_checked == 24 and len(report.violations) == 19
+        assert {d for _, d in report.violations} == {"separator sets differ"}
+
+    def test_minseparator_suite_fails_when_the_s_full_test_flips_a_mask(self, monkeypatch):
+        # flipping the verdict on {0} shows in every graph's mask walk
+        monkeypatch.setattr("toughlab.verify.is_minimal_separator",
+                            lambda g, s: is_minimal_separator(g, s) != (s == 1))
+        report = run_suite("prop_minseparator", 5)
+        flipped = {g6 for g6, d in report.violations
+                   if d == "S-full test disagrees on cut mask 1"}
+        assert report.graphs_checked == len(flipped) == 52
 
     def test_put_back_merges_like_a_fresh_search_up_to_6(self):
         # the separator oracle's single-vertex deletions, against the
