@@ -70,19 +70,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_jobs(value: str | int, source: str) -> int:
+def _positive_jobs(value: str) -> int:
+    """The --jobs argument: an integer of at least 1."""
     try:
         jobs = int(value)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise _UsageError(f"{source} must be a positive integer, got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
     return jobs
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("TOUGHLAB_JOBS")
-    return _positive_jobs(env, "TOUGHLAB_JOBS") if env else os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -104,7 +100,8 @@ def _build_parser() -> _Parser:
                       ", ".join(f"{scan_bound(c)} for {c}" for c in SCAN_CLASSES))
     scan.add_argument("--class", dest="class_filter", default="chordal",
                       choices=SCAN_CLASSES)
-    scan.add_argument("--jobs", type=int, default=None)
+    scan.add_argument("--jobs", type=_positive_jobs, default=os.cpu_count() or 1,
+                      help="worker processes (default: the core count)")
     scan.add_argument("--out", default=None, help="write the report to this file")
     scan.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
 
@@ -212,14 +209,13 @@ def _cmd_scan(args) -> int:
     bound = scan_bound(args.class_filter)
     if not 1 <= args.max_n <= bound:
         raise _UsageError(f"--max-n must be 1..{bound} for --class {args.class_filter}")
-    jobs = _default_jobs() if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
     try:
         out = (closing(_Output(open(args.out, "w", newline=""), f"--out {args.out}"))
                if args.out else nullcontext(sys.stdout))
     except OSError as exc:
         raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     with out as fh:
-        report = scan_conjecture(args.max_n, args.class_filter, jobs=jobs)
+        report = scan_conjecture(args.max_n, args.class_filter, jobs=args.jobs)
         emit_report(report, args.fmt, fh)
     for g6, tau, severity, detail in report.classified:
         sys.stderr.write(f"{severity}: {g6} tau={tau} ({detail})\n")
@@ -240,15 +236,15 @@ def _cmd_verify(args) -> int:
             n_max = min(n_max, SUITES[name][1])  # cap, don't reject, across suites
         report = run_suite(name, n_max)
         if args.json:
-            sys.stdout.write(json.dumps(report.to_json_dict()) + "\n")
+            sys.stdout.write(json.dumps(report) + "\n")
         else:
-            status = "PASS" if report.passed else "FAIL"
+            status = "FAIL" if report["violations"] else "PASS"
             sys.stdout.write(
-                f"{status} {name} (n_max={report.n_max}, "
-                f"graphs={report.graphs_checked}, {report.elapsed_s:.2f}s)\n")
-            for g6, detail in report.violations:
-                sys.stdout.write(f"  violation: {g6}  {detail}\n")
-        all_passed = all_passed and report.passed
+                f"{status} {name} (n_max={report['n_max']}, "
+                f"graphs={report['graphs_checked']}, {report['elapsed_s']:.2f}s)\n")
+            for v in report["violations"]:
+                sys.stdout.write(f"  violation: {v['graph6']}  {v['detail']}\n")
+        all_passed = all_passed and not report["violations"]
     return EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
 
 

@@ -77,8 +77,8 @@ def test_04_conjecture_scan_chordal_n8():
 def test_05_characterization_equivalence_n6():
     started = time.perf_counter()
     report = run_suite("thm_characterization", 6)
-    assert report.passed, report.violations[:5]
-    assert report.graphs_checked == 137  # connected noncomplete classes, n <= 6
+    assert report["violations"] == [], report["violations"][:5]
+    assert report["graphs_checked"] == 137  # connected noncomplete classes, n <= 6
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"budget exceeded: {elapsed:.1f}s"
     _report(5, "characterization = direct recomputation, n<=6", started)
@@ -87,23 +87,23 @@ def test_05_characterization_equivalence_n6():
 def test_06_condition2_lemma_equivalence_n6():
     started = time.perf_counter()
     report = run_suite("lemma_restricted_separators", 6)
-    assert report.passed, report.violations[:5]
-    assert report.graphs_checked == 137
+    assert report["violations"] == [], report["violations"][:5]
+    assert report["graphs_checked"] == 137
     _report(6, "restricted vs unrestricted separator condition, n<=6", started)
 
 
 def test_07_sufficient_condition_soundness_n7():
     started = time.perf_counter()
     report = run_suite("lemma_sufficient", 7)
-    assert report.passed, report.violations[:5]
+    assert report["violations"] == [], report["violations"][:5]
     _report(7, "sufficient condition implies not minimally tough, n<=7", started)
 
 
 def test_08_separator_oracle_equivalence_n8():
     started = time.perf_counter()
     report = run_suite("prop_cliquetree_separators", 8)
-    assert report.passed, report.violations[:5]
-    assert report.graphs_checked == 1968  # connected chordal classes, n <= 8
+    assert report["violations"] == [], report["violations"][:5]
+    assert report["graphs_checked"] == 1968  # connected chordal classes, n <= 8
     _report(8, "clique-tree separators = S-full brute force, n<=8", started)
 
 
@@ -125,14 +125,14 @@ def test_10_structural_propositions_n7():
     for suite in ("prop_connectivity_bound", "thm_two_moplexes",
                   "prop_simple_moplicial", "thm_dirac", "thm_chordal_interval"):
         report = run_suite(suite, 7)
-        assert report.passed, (suite, report.violations[:5])
+        assert report["violations"] == [], (suite, report["violations"][:5])
     _report(10, "tau<=kappa/2; >=2 moplexes; simple=>moplicial; Dirac; hole, n<=7", started)
 
 
 def test_11_stars_theorem_n7():
     started = time.perf_counter()
     report = run_suite("thm_stars", 7)
-    assert report.passed, report.violations[:5]
+    assert report["violations"] == [], report["violations"][:5]
     _report(11, "universal vertex + finite tau<=1: minimally tough iff star, n<=7", started)
 
 

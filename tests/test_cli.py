@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,8 +188,10 @@ class TestScan:
     def test_bad_class_exit_64(self, capsys):
         assert main(["scan", "--class", "bogus"]) == EXIT_USAGE
 
-    def test_bad_jobs_exit_64(self, capsys):
-        assert main(["scan", "--max-n", "4", "--jobs", "0"]) == EXIT_USAGE
+    @pytest.mark.parametrize("value", ["0", "abc", "-3"])
+    def test_bad_jobs_exit_64(self, capsys, value):
+        assert main(["scan", "--max-n", "4", "--jobs", value]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
 
     def test_each_hit_classified_once(self, capsys, monkeypatch):
         import toughlab.verify
@@ -312,14 +315,16 @@ class TestVerify:
     def test_unknown_command_exit_64(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-
-class TestJobsEnvironment:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOUGHLAB_JOBS", "1")
-        assert main(["scan", "--max-n", "3", "--class", "all"]) == EXIT_OK
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_invalid_env_exit_64(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("TOUGHLAB_JOBS", value)
-        assert main(["scan", "--max-n", "3", "--class", "all"]) == EXIT_USAGE
-        assert "TOUGHLAB_JOBS" in capsys.readouterr().err
+    def test_suite_reports_pinned_by_digest(self, capsys):
+        # every suite at n <= 5, with each elapsed_s set to 0 and each text
+        # timing to 0.00s
+        assert main(["verify", "--suite", "all", "--max-n", "5", "--json"]) == EXIT_OK
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 20
+        dumped = "".join(json.dumps({**r, "elapsed_s": 0}) + "\n" for r in records)
+        digest = "4ded077592001bfd29e057b3acd45fa640890271d4f5360ff54071424fe22dbc"
+        assert hashlib.sha256(dumped.encode()).hexdigest() == digest
+        assert main(["verify", "--suite", "all", "--max-n", "5"]) == EXIT_OK
+        text = re.sub(r", \d+\.\d\ds\)", ", 0.00s)", capsys.readouterr().out)
+        digest = "51fd1b51a34cade5a740495619787b01b53259774c3a52186526e3186d744ff2"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from toughlab.chordal import is_minimal_separator
+from toughlab.chordal import (clique_tree, is_minimal_separator,
+                              minimal_separators_via_clique_tree)
 from toughlab.cli import EXIT_OK, main
 from toughlab.families import cycle, k_sun, star, wheel
 from toughlab.graphs import (
@@ -36,6 +37,7 @@ from toughlab.verify import (
     ScanReport,
     SUITES,
     _minimally_tough_in,
+    _not_minimal_by_recomputation,
     _put_back,
     _scan_worker,
     classify_counterexample,
@@ -57,11 +59,11 @@ class TestRunSuite:
 
     def test_characterization_at_5(self):
         report = run_suite("thm_characterization", 5)
-        assert report.passed and report.graphs_checked == 26
+        assert report["violations"] == [] and report["graphs_checked"] == 26
 
     def test_connectivity_bound_at_6(self):
         report = run_suite("prop_connectivity_bound", 6)
-        assert report.passed
+        assert report["violations"] == []
 
     def test_every_suite_passes_at_5(self):
         checked = {
@@ -79,8 +81,8 @@ class TestRunSuite:
         for name in suite_names():
             bound = SUITES[name][1]
             report = run_suite(name, min(5, bound))
-            assert report.passed, f"{name}: {report.violations[:3]}"
-            assert report.graphs_checked == checked[name], name
+            assert report["violations"] == [], f"{name}: {report['violations'][:3]}"
+            assert report["graphs_checked"] == checked[name], name
 
     @pytest.mark.parametrize("name", SUITES)
     def test_bound_counts_vertices(self, name):
@@ -93,9 +95,9 @@ class TestRunSuite:
         # with tau > 1/2 up to 6 vertices becomes a violation
         monkeypatch.setattr("toughlab.verify.find_split_obstruction", lambda g: None)
         report = run_suite("cor_split_obstructions", 6)
-        assert report.graphs_checked == 9 and not report.passed
-        assert len({g6 for g6, _ in report.violations}) == len(report.violations) == 9
-        assert {d for _, d in report.violations} == {"no induced C4, C5, or 2K2"}
+        assert report["graphs_checked"] == 9 and report["violations"]
+        assert len({v["graph6"] for v in report["violations"]}) == len(report["violations"]) == 9
+        assert {v["detail"] for v in report["violations"]} == {"no induced C4, C5, or 2K2"}
 
     @pytest.mark.parametrize("name", THEOREMS)
     def test_theorem_suites_report_their_row(self, monkeypatch, name):
@@ -108,8 +110,8 @@ class TestRunSuite:
             report = run_suite(name, 5)
             members = [g for n in range(1, 6) for g in connected_chordal_reps(n)
                        if not g.is_complete() and member(g)]
-            assert sorted(g6 for g6, _ in report.violations) == sorted(map(to_graph6, members))
-            assert {d for _, d in report.violations} == {
+            assert sorted(v["graph6"] for v in report["violations"]) == sorted(map(to_graph6, members))
+            assert {v["detail"] for v in report["violations"]} == {
                 f"{cls} and minimally {tau}-tough with tau {text}"}
 
     def test_separator_generator_cross_checked(self, monkeypatch):
@@ -128,27 +130,27 @@ class TestRunSuite:
 
         monkeypatch.setattr("toughlab.verify.minimal_separators", seeds_only)
         report = run_suite("prop_minseparator", 6)
-        assert report.graphs_checked == 208 and not report.passed
-        assert {d for _, d in report.violations} == {
+        assert report["graphs_checked"] == 208 and report["violations"]
+        assert {v["detail"] for v in report["violations"]} == {
             "generated separators differ from the S-full walk"}
-        assert to_graph6(canonical_graph(cycle(6))) in {g6 for g6, _ in report.violations}
+        assert to_graph6(canonical_graph(cycle(6))) in {v["graph6"] for v in report["violations"]}
 
     def test_cliquetree_suite_fails_when_every_vertex_is_simplicial(self, monkeypatch):
         # the restricted walk then tries only the empty set, and misses the
         # separators of each of the 19 noncomplete connected chordal classes
         monkeypatch.setattr("toughlab.verify.simplicial_mask", lambda g: g.full_mask)
         report = run_suite("prop_cliquetree_separators", 5)
-        assert report.graphs_checked == 24 and len(report.violations) == 19
-        assert {d for _, d in report.violations} == {"separator sets differ"}
+        assert report["graphs_checked"] == 24 and len(report["violations"]) == 19
+        assert {v["detail"] for v in report["violations"]} == {"separator sets differ"}
 
     def test_minseparator_suite_fails_when_the_s_full_test_flips_a_mask(self, monkeypatch):
         # flipping the verdict on {0} shows in every graph's mask walk
         monkeypatch.setattr("toughlab.verify.is_minimal_separator",
                             lambda g, s: is_minimal_separator(g, s) != (s == 1))
         report = run_suite("prop_minseparator", 5)
-        flipped = {g6 for g6, d in report.violations
-                   if d == "S-full test disagrees on cut mask 1"}
-        assert report.graphs_checked == len(flipped) == 52
+        flipped = {v["graph6"] for v in report["violations"]
+                   if v["detail"] == "S-full test disagrees on cut mask 1"}
+        assert report["graphs_checked"] == len(flipped) == 52
 
     def test_put_back_merges_like_a_fresh_search_up_to_6(self):
         # the separator oracle's single-vertex deletions, against the
@@ -162,11 +164,11 @@ class TestRunSuite:
 
     def test_report_fields(self):
         report = run_suite("thm_dirac", 4)
-        assert report.suite == "thm_dirac"
-        assert report.n_max == 4
-        assert report.graphs_checked == 18  # 1 + 2 + 4 + 11 classes
-        assert report.violations == []
-        assert report.elapsed_s >= 0
+        assert report["suite"] == "thm_dirac"
+        assert report["n_max"] == 4
+        assert report["graphs_checked"] == 18  # 1 + 2 + 4 + 11 classes
+        assert report["violations"] == []
+        assert report["elapsed_s"] >= 0
 
 
 class TestScan:
@@ -352,7 +354,7 @@ class TestReports:
         # verify --json writes each suite's dict as one JSON line
         assert main(["verify", "--suite", "thm_dirac", "--max-n", "4", "--json"]) == EXIT_OK
         line = json.loads(capsys.readouterr().out)
-        expected = run_suite("thm_dirac", 4).to_json_dict()
+        expected = run_suite("thm_dirac", 4)
         assert {**line, "elapsed_s": 0} == {**expected, "elapsed_s": 0}
 
     def test_scan_report_json_round_trip(self):
@@ -368,7 +370,7 @@ class TestReports:
 
     def test_json_field_order_stable(self):
         report = run_suite("thm_dirac", 3)
-        keys = list(report.to_json_dict())
+        keys = list(report)
         assert keys == ["suite", "n_max", "graphs_checked", "violations", "elapsed_s"]
 
     def test_empty_violations_serialize(self):
@@ -399,3 +401,51 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(ScanReport("all", 3, {3: 2}, [], 0.0), "xml", io.StringIO())
+
+
+
+class TestExhaustiveData:
+    """Counts behind two open questions, recomputed edge by edge."""
+
+    def test_noncritical_edges_of_chordal_graphs_to_8(self):
+        # a non-critical edge e keeps tau(G - e) = tau(G); the conjecture says
+        # every chordal G with tau > 1/2 has one, and the separator-edge lemma
+        # says some such edge has both ends in one minimal separator
+        classes, above_one, fewest = [], [], []
+        for n in range(4, 9):
+            members = [g for g in connected_chordal_reps(n)
+                       if not g.is_complete() and exceeds_half(toughness(g))]
+            sizes = []
+            for g in members:
+                t = toughness(g)
+                noncritical = [(u, v) for u, v in g.edges()
+                               if toughness(g.without_edge(u, v)) == t]
+                separators = minimal_separators_via_clique_tree(g, clique_tree(g))
+                assert any((s >> u) & (s >> v) & 1 for u, v in noncritical
+                           for s in separators), to_graph6(g)
+                sizes.append(len(noncritical))
+            classes.append(len(members))
+            above_one.append(sum(toughness(g) > 1 for g in members))
+            fewest.append(min(sizes))
+        assert classes == [1, 4, 16, 76, 479]
+        assert above_one == [0, 1, 3, 14, 65]
+        assert fewest == [1, 1, 2, 2, 3]
+
+    def test_minimum_degree_of_minimally_tough_graphs_to_7(self):
+        # delta >= ceil(2 tau) always holds (tau <= kappa/2 <= delta/2); the
+        # minimally tough classes meet it with equality
+        minimal_counts = []
+        for n in range(3, 8):
+            minimal = 0
+            for g in graph_reps(n):
+                if not g.is_connected() or g.is_complete():
+                    continue
+                t = toughness(g)
+                delta = min(g.degree(v) for v in range(n))
+                ceil_twice_tau = -(-2 * t.numerator // t.denominator)
+                assert delta >= ceil_twice_tau, to_graph6(g)
+                if _not_minimal_by_recomputation(g) is None:
+                    minimal += 1
+                    assert delta == ceil_twice_tau, to_graph6(g)
+            minimal_counts.append(minimal)
+        assert minimal_counts == [1, 3, 6, 13, 31]
