@@ -188,9 +188,12 @@ class TestScan:
     def test_bad_class_exit_64(self, capsys):
         assert main(["scan", "--class", "bogus"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("value", ["0", "abc", "-3"])
-    def test_bad_jobs_exit_64(self, capsys, value):
-        assert main(["scan", "--max-n", "4", "--jobs", value]) == EXIT_USAGE
+    def test_bad_jobs_exit_64(self, capsys):
+        assert main(["scan", "--max-n", "4", "--jobs", "0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_jobs_exit_64(self, capsys, value):
+        assert main(["scan", "--max-n", "3", "--class", "all", "--jobs", value]) == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
 
     def test_each_hit_classified_once(self, capsys, monkeypatch):
