@@ -207,10 +207,20 @@ def separates(comps: list[int], u: int, v: int) -> bool:
 
 
 def simplicial_mask(g: Graph) -> int:
-    """Mask of the vertices whose neighbourhood is a clique."""
+    """Mask of the vertices whose neighbourhood is a clique: N(v) lies in
+    N[w] for every neighbour w, tested until the first w that fails."""
     adj = g.adj
-    return sum(1 << v for v, hood in enumerate(adj)
-               if all(hood & ~adj[w] == 1 << w for w in bits(hood)))
+    mask = 0
+    for v, hood in enumerate(adj):
+        rest = hood
+        while rest:
+            low = rest & -rest
+            if hood & ~adj[low.bit_length() - 1] != low:
+                break
+            rest ^= low
+        else:
+            mask |= 1 << v
+    return mask
 
 
 def separating_cuts(g: Graph, u: int, v: int, max_size: int,

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -103,61 +101,18 @@ SEVERITY_CANDIDATE = "conjecture_candidate"
 SEVERITY_FINDING = "finding"
 
 
-@dataclass
-class ScanReport:
-    class_filter: str
-    n_max: int
-    per_n: dict[int, int]
-    counterexamples: list[tuple[str, Fraction]]
-    elapsed_s: float
-
-    @property
-    def graphs_checked(self) -> int:
-        return sum(self.per_n.values())
-
-    @cached_property
-    def classified(self) -> list[tuple[str, Fraction, str, str]]:
-        """Each hit with its severity and detail, classified once."""
-        return [(g6, tau, *classify_counterexample(g6, tau))
-                for g6, tau in self.counterexamples]
-
-    def theorem_violations(self) -> list[tuple[str, str]]:
-        return [(g6, detail) for g6, tau, severity, detail in self.classified
-                if severity == SEVERITY_VIOLATION]
-
-    @property
-    def passed(self) -> bool:
-        return not self.theorem_violations()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": "scan_conjecture",
-            "class_filter": self.class_filter,
-            "n_max": self.n_max,
-            "graphs_checked": self.graphs_checked,
-            "per_n": {str(n): c for n, c in sorted(self.per_n.items())},
-            "violations": [{"graph6": g6, "detail": d}
-                           for g6, d in self.theorem_violations()],
-            "counterexamples": [
-                {"graph6": g6, "tau_num": tau.numerator, "tau_den": tau.denominator}
-                for g6, tau in self.counterexamples
-            ],
-            "elapsed_s": self.elapsed_s,
-        }
-
-
-def emit_report(report: ScanReport, fmt: str, fh) -> None:
+def emit_report(report: dict, fmt: str, fh) -> None:
     """Write a scan report as JSON, or its hits as CSV, to an open text file."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "json":
-        json.dump(report.to_json_dict(), fh, indent=2)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
     else:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["graph6", "num", "den"])
-        for g6, tau in report.counterexamples:
-            writer.writerow([g6, tau.numerator, tau.denominator])
+        writer.writerows([c["graph6"], c["tau_num"], c["tau_den"]]
+                         for c in report["counterexamples"])
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +151,13 @@ def classify_counterexample(g6: str, tau: Fraction) -> tuple[str, str]:
 
 
 def scan_conjecture(n_max: int, class_filter: str = "chordal",
-                    jobs: int = 1) -> ScanReport:
+                    jobs: int = 1) -> tuple[dict, list[tuple[str, Fraction, str, str]]]:
     """Record every minimally tough graph with toughness above 1/2 among the
-    connected members of the class, over all isomorphism classes up to n_max."""
+    connected members of the class, over all isomorphism classes up to n_max.
+    Returns the report that scan --format json prints, and every hit as
+    (graph6, tau, severity, detail), classified after elapsed_s is taken."""
+    import multiprocessing  # here, so that only a scan pays for the import
+
     if class_filter not in SCAN_CLASSES:
         raise GraphError(f"unknown scan class {class_filter!r}")
     bound = scan_bound(class_filter)
@@ -206,8 +165,8 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
         raise GraphError(f"scan bound {n_max} outside 1..{bound} for class {class_filter}")
     enumerator, keep = SCAN_CLASSES[class_filter]
     start = time.perf_counter()
-    per_n: dict[int, int] = {}
-    hits: list[tuple[str, Fraction]] = []
+    per_n: dict[str, int] = {}
+    found: list[tuple[str, Fraction]] = []
     # one pool for the whole scan, growing each enumeration level and then
     # testing its members; a single worker stays in this process
     workers = min(jobs, os.cpu_count() or 1)
@@ -216,11 +175,18 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
         with level_map(scan_map):
             for n in range(1, n_max + 1):
                 members = [g for g in globals()[enumerator](n) if keep(g)]
-                per_n[n] = len(members)
+                per_n[str(n)] = len(members)
                 lines = [to_graph6(g) for g in members]
-                hits.extend(filter(None, scan_map(_scan_worker, lines)))
-    return ScanReport(class_filter, n_max, per_n, hits,
-                      time.perf_counter() - start)
+                found.extend(filter(None, scan_map(_scan_worker, lines)))
+    elapsed = time.perf_counter() - start
+    hits = [(g6, tau, *classify_counterexample(g6, tau)) for g6, tau in found]
+    return {"suite": "scan_conjecture", "class_filter": class_filter, "n_max": n_max,
+            "graphs_checked": sum(per_n.values()), "per_n": per_n,
+            "violations": [{"graph6": g6, "detail": detail} for g6, _, severity, detail in hits
+                           if severity == SEVERITY_VIOLATION],
+            "counterexamples": [{"graph6": g6, "tau_num": tau.numerator,
+                                 "tau_den": tau.denominator} for g6, tau in found],
+            "elapsed_s": elapsed}, hits
 
 
 # ---------------------------------------------------------------------------

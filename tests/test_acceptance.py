@@ -61,14 +61,13 @@ def test_03_matched_cliques():
 def test_04_conjecture_scan_chordal_n8():
     started = time.perf_counter()
     jobs = min(4, os.cpu_count() or 1)
-    report = scan_conjecture(8, "chordal", jobs=jobs)
-    hard = [(g6, tau) for g6, tau in report.counterexamples
-            if in_half_one_interval(tau)]
+    report, hits = scan_conjecture(8, "chordal", jobs=jobs)
+    hard = [(g6, tau) for g6, tau, _, _ in hits if in_half_one_interval(tau)]
     assert not hard, f"theorem-contradicting hits: {hard}"
-    for g6, tau in report.counterexamples:
+    for g6, tau, _, _ in hits:
         print(f"  refutation candidate (mathematical finding): {g6} tau={tau}")
-    assert report.counterexamples == [], "scan expected to be empty at n <= 8"
-    assert report.graphs_checked == 1 + 1 + 2 + 5 + 15 + 58 + 272 + 1614
+    assert report["counterexamples"] == [], "scan expected to be empty at n <= 8"
+    assert report["graphs_checked"] == 1 + 1 + 2 + 5 + 15 + 58 + 272 + 1614
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0, f"budget exceeded: {elapsed:.1f}s"
     _report(4, "conjecture scan: no minimally tough chordal graph, tau>1/2, n<=8", started)

@@ -17,7 +17,6 @@ import toughlab
 from toughlab.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from toughlab.families import wheel
 from toughlab.graphs import GraphError, graph_reps, to_graph6
-from toughlab.verify import ScanReport
 
 
 class TestAnalyze:
@@ -151,6 +150,26 @@ class TestScan:
         assert (3, 2) in hits.values()  # W5
         assert "finding" in captured.err
 
+    def test_scan_reports_pinned_by_digest(self, capsys):
+        # every connected class with n <= 6: the JSON with elapsed_s set to
+        # 0, the CSV, and the 9 stderr lines, all findings
+        argv = ["scan", "--class", "all", "--max-n", "6", "--jobs", "1"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        dumped = json.dumps({**json.loads(captured.out), "elapsed_s": 0}, indent=2) + "\n"
+        digest = "d8b9de8cf90acf6402d9c87f3d2af2f64acf524f1782e630654bbfdba00e3a43"
+        assert hashlib.sha256(dumped.encode()).hexdigest() == digest
+        err = captured.err
+        assert len(err.splitlines()) == 9
+        assert all(line.startswith("finding: ") for line in err.splitlines())
+        digest = "cdd5d2c94e4e364bd23ca3372fb54bd40e8546e892aaf1e7c84697dc31776034"
+        assert hashlib.sha256(err.encode()).hexdigest() == digest
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        captured = capsys.readouterr()
+        digest = "33b793f839ab2a0cb0b735914cbbd999df8bf78691e60fcced7c4e68f636f413"
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err == err
+
     def test_csv_output(self, capsys):
         assert main(["scan", "--max-n", "4", "--class", "all", "--jobs", "1",
                      "--format", "csv"]) == EXIT_OK
@@ -179,7 +198,9 @@ class TestScan:
 
         def recorded(n_max, class_filter, jobs):
             calls.append((n_max, class_filter, jobs))
-            return ScanReport(class_filter, n_max, {}, [], 0.0)
+            return {"suite": "scan_conjecture", "class_filter": class_filter,
+                    "n_max": n_max, "graphs_checked": 0, "per_n": {}, "violations": [],
+                    "counterexamples": [], "elapsed_s": 0.0}, []
 
         monkeypatch.setattr("toughlab.cli.scan_conjecture", recorded)
         assert main(["scan", "--class", "chordal", "--max-n", "10", "--jobs", "1"]) == EXIT_OK
@@ -268,6 +289,16 @@ def _run_script(argv, stdout):
     env = {**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parent.parent)}
     return subprocess.run([sys.executable, "-m", "toughlab.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+
+
+def test_start_up_loads_neither_dataclasses_nor_multiprocessing():
+    # only a scan imports multiprocessing; -S keeps site .pth files out
+    code = ("import toughlab.cli, sys; "
+            "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(toughlab.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env=env, timeout=120, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_closed_pipe_exits_74_quietly():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toughlab.chordal import is_chordal, is_minimal_separator, minimal_separators
+from toughlab.chordal import is_chordal, is_clique, is_minimal_separator, minimal_separators
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
     GraphError,
@@ -781,6 +781,28 @@ class TestSeparatorOracles:
     def test_direct_oracle_matches_all_pairs_on_random_graphs(self, g):
         for s in range(1 << g.n):
             assert _is_minimal_separator_direct(g, s) == minimal_separator_all_pairs(g, s), s
+
+
+def simplicial_by_definition(g):
+    """Oracle: the vertices whose neighbourhood is a clique, one is_clique
+    call each."""
+    return sum(1 << v for v in range(g.n) if is_clique(g, g.adj[v]))
+
+
+class TestSimplicialMask:
+    """simplicial_mask, which stops at the first neighbour that fails,
+    against its definition on every vertex."""
+
+    def test_matches_definition_up_to_7_and_on_chordal_up_to_8(self):
+        chordal = (g for n in range(1, 9) for g in connected_chordal_reps(n))
+        for g in chain(_reps_through(7), chordal):
+            assert simplicial_mask(g) == simplicial_by_definition(g), to_graph6(g)
+
+    @bounded
+    @given(st.one_of(random_graphs(), random_general_graphs(), random_chordal_graphs(),
+                     random_trees()))
+    def test_matches_definition_on_random_graphs(self, g):
+        assert simplicial_mask(g) == simplicial_by_definition(g)
 
 
 class TestRandomChordalGraphs:

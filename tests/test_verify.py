@@ -34,7 +34,6 @@ from toughlab.verify import (
     SEVERITY_FINDING,
     SEVERITY_VIOLATION,
     THEOREMS,
-    ScanReport,
     SUITES,
     _minimally_tough_in,
     _not_minimal_by_recomputation,
@@ -173,28 +172,29 @@ class TestRunSuite:
 
 class TestScan:
     def test_chordal_scan_clean_at_6(self):
-        report = scan_conjecture(6, "chordal")
-        assert report.counterexamples == []
-        assert report.passed
-        assert report.per_n == {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 58}
+        report, _ = scan_conjecture(6, "chordal")
+        assert report["counterexamples"] == []
+        assert report["violations"] == []
+        assert report["per_n"] == {"1": 1, "2": 1, "3": 2, "4": 5, "5": 15, "6": 58}
 
     def test_split_scan_clean_at_6(self):
-        report = scan_conjecture(6, "split")
-        assert report.counterexamples == [] and report.passed
+        report, _ = scan_conjecture(6, "split")
+        assert report["counterexamples"] == [] and report["violations"] == []
 
     def test_all_scan_finds_wheels(self):
-        report = scan_conjecture(6, "all")
-        hits = dict(report.counterexamples)
+        report, _ = scan_conjecture(6, "all")
+        hits = {c["graph6"]: Fraction(c["tau_num"], c["tau_den"])
+                for c in report["counterexamples"]}
         w5 = to_graph6(canonical_graph(wheel(5)))
         w6 = to_graph6(canonical_graph(wheel(6)))
         assert hits.get(w5) == Fraction(3, 2)
         assert hits.get(w6) == Fraction(3, 2)
-        assert report.passed  # wheels are findings, not theorem violations
+        assert report["violations"] == []  # wheels are findings, not theorem violations
 
     def test_counterexamples_reverify_from_graph6(self):
         from toughlab.graphs import parse_graph6
-        report = scan_conjecture(6, "all")
-        for g6, tau in report.counterexamples:
+        _, hits = scan_conjecture(6, "all")
+        for g6, tau, _, _ in hits:
             g = parse_graph6(g6)
             assert g.is_connected() and not g.is_complete()
             assert is_minimally_tough(g) == (True, None)
@@ -242,15 +242,15 @@ class TestScan:
             scan_conjecture(5, "nosuch")
 
     def test_jobs_match_serial(self):
-        serial = scan_conjecture(6, "all", jobs=1).to_json_dict()
-        parallel = scan_conjecture(6, "all", jobs=2).to_json_dict()
+        serial = scan_conjecture(6, "all", jobs=1)[0]
+        parallel = scan_conjecture(6, "all", jobs=2)[0]
         del serial["elapsed_s"], parallel["elapsed_s"]
         assert serial == parallel
 
     def test_pooled_chordal_scan_matches_serial_at_8(self):
-        serial = scan_conjecture(8, "chordal", jobs=1).to_json_dict()
+        serial = scan_conjecture(8, "chordal", jobs=1)[0]
         connected_chordal_reps.cache_clear()  # so the pool grows every level again
-        parallel = scan_conjecture(8, "chordal", jobs=2).to_json_dict()
+        parallel = scan_conjecture(8, "chordal", jobs=2)[0]
         del serial["elapsed_s"], parallel["elapsed_s"]
         assert serial == parallel
 
@@ -286,11 +286,11 @@ class TestScan:
             def map(self, fn, iterable, chunksize=1):
                 return list(map(fn, iterable))
 
-        monkeypatch.setattr("toughlab.verify.multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr("toughlab.verify.os.cpu_count", lambda: cpus)
-        report = scan_conjecture(6, "all", jobs=jobs)
+        report, _ = scan_conjecture(6, "all", jobs=jobs)
         assert created == sizes
-        assert len(report.counterexamples) == 9
+        assert len(report["counterexamples"]) == 9
 
 
 class TestClassification:
@@ -350,6 +350,10 @@ class TestClassification:
 
 
 class TestReports:
+    EMPTY_SCAN = {"suite": "scan_conjecture", "class_filter": "all", "n_max": 3,
+                  "graphs_checked": 2, "per_n": {"3": 2}, "violations": [],
+                  "counterexamples": [], "elapsed_s": 0.0}
+
     def test_check_report_json_round_trip(self, capsys):
         # verify --json writes each suite's dict as one JSON line
         assert main(["verify", "--suite", "thm_dirac", "--max-n", "4", "--json"]) == EXIT_OK
@@ -358,7 +362,7 @@ class TestReports:
         assert {**line, "elapsed_s": 0} == {**expected, "elapsed_s": 0}
 
     def test_scan_report_json_round_trip(self):
-        report = scan_conjecture(5, "all")
+        report, _ = scan_conjecture(5, "all")
         buf = io.StringIO()
         emit_report(report, "json", buf)
         data = json.loads(buf.getvalue())
@@ -366,7 +370,7 @@ class TestReports:
         assert data["violations"] == []
         assert all(set(c) == {"graph6", "tau_num", "tau_den"}
                    for c in data["counterexamples"])
-        assert data == report.to_json_dict()
+        assert data == report
 
     def test_json_field_order_stable(self):
         report = run_suite("thm_dirac", 3)
@@ -374,7 +378,7 @@ class TestReports:
         assert keys == ["suite", "n_max", "graphs_checked", "violations", "elapsed_s"]
 
     def test_empty_violations_serialize(self):
-        report = ScanReport("all", 3, {3: 2}, [], 0.0)
+        report = self.EMPTY_SCAN
         buf = io.StringIO()
         emit_report(report, "json", buf)
         data = json.loads(buf.getvalue())
@@ -384,7 +388,10 @@ class TestReports:
         assert buf.getvalue() == "graph6,num,den\n"
 
     def test_scan_csv_rows(self):
-        report = ScanReport("all", 5, {5: 21}, [("Dr{", Fraction(3, 2))], 0.1)
+        report = {"suite": "scan_conjecture", "class_filter": "all", "n_max": 5,
+                  "graphs_checked": 21, "per_n": {"5": 21}, "violations": [],
+                  "counterexamples": [{"graph6": "Dr{", "tau_num": 3, "tau_den": 2}],
+                  "elapsed_s": 0.1}
         buf = io.StringIO()
         emit_report(report, "csv", buf)
         lines = buf.getvalue().strip().splitlines()
@@ -392,15 +399,15 @@ class TestReports:
         assert lines[1] == "Dr{,3,2"
 
     def test_emit_to_path(self, tmp_path):
-        report = scan_conjecture(3, "all")
+        report, _ = scan_conjecture(3, "all")
         target = tmp_path / "report.json"
         with open(target, "w", newline="") as fh:
             emit_report(report, "json", fh)
-        assert json.loads(target.read_text()) == report.to_json_dict()
+        assert json.loads(target.read_text()) == report
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            emit_report(ScanReport("all", 3, {3: 2}, [], 0.0), "xml", io.StringIO())
+            emit_report(self.EMPTY_SCAN, "xml", io.StringIO())
 
 
 
