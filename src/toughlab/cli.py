@@ -1,7 +1,8 @@
 """Command-line front end: analyze graphs, scan the conjecture, run suites.
 
-Exit codes: 0 success, 2 verification failure, 64 usage error, 65 bad input
-data, 74 when stdout or --out cannot be written (a full disk, a closed pipe).
+Exit codes: 0 success, 2 verification failure, 64 a refused argument
+(GraphError), 65 bad graph6 data (Graph6Error), 74 when stdout or --out
+cannot be written (a full disk, a closed pipe).
 Toughness is always printed as an exact fraction, never a decimal.
 """
 
@@ -17,8 +18,8 @@ from typing import Optional
 
 from .chordal import is_chordal, minimal_separators, moplexes
 from .families import build_family
-from .graphs import (GRAPH6_MAX_VERTICES, Graph, Graph6Error, GraphError, bits,
-                     components, parse_graph6, read_graph6_lines, to_graph6)
+from .graphs import (Graph, Graph6Error, GraphError, bits, components, parse_graph6,
+                     read_graph6_lines, to_graph6)
 from .rational import format_toughness, is_finite
 from .recognize import is_interval_like, is_split, is_strongly_chordal
 from .toughness import is_minimally_tough, toughness_witness
@@ -37,10 +38,6 @@ EXIT_VERIFICATION_FAILED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 74
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _WriteError(Exception):
@@ -67,7 +64,7 @@ class _Output:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise GraphError(message)
 
 
 def _positive_jobs(value: str) -> int:
@@ -170,13 +167,7 @@ def _print_analysis(record: dict, out) -> None:
 
 
 def _gather_graphs(args) -> list[Graph]:
-    graphs = []
-    for spec in args.family:
-        g = build_family(spec)
-        if g.n > GRAPH6_MAX_VERTICES:  # every record carries its graph6 string
-            raise _UsageError(f"{spec} has {g.n} vertices; graph6 records hold "
-                              f"at most {GRAPH6_MAX_VERTICES}")
-        graphs.append(g)
+    graphs = [build_family(spec) for spec in args.family]
     for item in args.inputs:
         if item == "-":
             graphs.extend(read_graph6_lines(sys.stdin))
@@ -186,7 +177,7 @@ def _gather_graphs(args) -> list[Graph]:
                 with open(item, errors="replace") as fh:
                     graphs.extend(read_graph6_lines(fh))
             except OSError as exc:
-                raise _UsageError(f"cannot read {item}: {exc.strerror}")
+                raise GraphError(f"cannot read {item}: {exc.strerror}")
         else:
             graphs.append(parse_graph6(item))
     return graphs
@@ -194,7 +185,7 @@ def _gather_graphs(args) -> list[Graph]:
 
 def _cmd_analyze(args) -> int:
     if not args.inputs and not args.family:
-        raise _UsageError("analyze needs graph6 input, a file, -, or --family")
+        raise GraphError("analyze needs graph6 input, a file, -, or --family")
     for g in _gather_graphs(args):
         record = _analysis_record(g)
         if args.json:
@@ -208,12 +199,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_scan(args) -> int:
     bound = scan_bound(args.class_filter)
     if not 1 <= args.max_n <= bound:
-        raise _UsageError(f"--max-n must be 1..{bound} for --class {args.class_filter}")
+        raise GraphError(f"--max-n must be 1..{bound} for --class {args.class_filter}")
     try:
         out = (closing(_Output(open(args.out, "w", newline=""), f"--out {args.out}"))
                if args.out else nullcontext(sys.stdout))
     except OSError as exc:
-        raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}")
+        raise GraphError(f"cannot write --out {args.out}: {exc.strerror}")
     with out as fh:
         report, hits = scan_conjecture(args.max_n, args.class_filter, jobs=args.jobs)
         emit_report(report, args.fmt, fh)
@@ -260,7 +251,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Graph6Error as exc:
         sys.stderr.write(f"toughlab: bad graph6 input: {exc}\n")
         return EXIT_DATA
-    except (_UsageError, GraphError) as exc:  # GraphError is a refused argument
+    except GraphError as exc:
         sys.stderr.write(f"toughlab: {exc}\n")
         return EXIT_USAGE
 

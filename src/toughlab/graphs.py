@@ -1,4 +1,5 @@
-"""Bitmask graphs on up to 64 vertices.
+"""Bitmask graphs on up to 62 vertices, the graph6 short-form limit, so
+every graph has a graph6 string.
 
 A vertex set is a plain int used as a bitmask, so all set algebra is
 single-word arithmetic. Adjacency is stored as one bitmask row per vertex:
@@ -14,8 +15,7 @@ from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-MAX_VERTICES = 64
-GRAPH6_MAX_VERTICES = 62  # short form: length byte 63+n must stay below '~' (126)
+MAX_VERTICES = 62  # graph6 short form: length byte 63+n must stay below '~' (126)
 # Largest vertex count of each enumerator. Canonical labeling serves them
 # all, so it goes as far as the largest.
 VERTEX_BOUNDS = {"graph_reps": 9, "connected_chordal_reps": 11}
@@ -23,11 +23,12 @@ _CANONICAL_MAX = max(VERTEX_BOUNDS.values())
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or operation input."""
+    """The package's one refusal: an invalid graph, argument or operation
+    input. The command line exits 64 on it."""
 
 
 class Graph6Error(GraphError):
-    """Malformed graph6 text."""
+    """Malformed graph6 text: the bad-data refusal, which exits 65."""
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -305,9 +306,8 @@ def _graph6_rows(n: int, payload: bytes) -> list[int]:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode under the current labeling; short form only (n <= 62)."""
-    if g.n > GRAPH6_MAX_VERTICES:
-        raise GraphError(f"graph6 short form limited to {GRAPH6_MAX_VERTICES} vertices")
+    """Encode under the current labeling in the short form, which holds
+    every graph: MAX_VERTICES is its limit."""
     out = bytearray([g.n + 63])
     group = 0
     filled = 0
@@ -535,7 +535,7 @@ def _any_children(parent: Graph) -> set[str]:
 
 def _chordal_children(parent: Graph) -> set[str]:
     """Canonical graph6 keys of parent grown by a simplicial vertex."""
-    return _children(parent, clique_masks(parent)[1:], simplicial_mask(parent))  # [0] is empty
+    return _children(parent, clique_masks(parent), simplicial_mask(parent))
 
 
 # How an enumeration level maps its children worker over the parents: the
@@ -590,8 +590,8 @@ def graph_reps(n: int) -> tuple[Graph, ...]:
 
 
 def clique_masks(g: Graph) -> list[int]:
-    """All complete vertex subsets, the empty set included."""
-    out = [0]
+    """All nonempty complete vertex subsets."""
+    out = []
 
     def grow(current: int, allowed: int):
         for v in bits(allowed):

@@ -54,15 +54,15 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
     Once a cut is found, the walk ends at the first size k where some cap
     on omega(G-S), |S| = k, gives no ratio strictly below the best, so the
     value and the least-size, least-mask witness are those of the full walk.
-    The caps, tried cheapest first:
+    The caps, all set at the first cut:
     - n - k: every component keeps a vertex.
-    - D_k/kappa. The first disconnecting cut the walk meets has size kappa,
-      the vertex connectivity, since a smallest disconnecting set holds no
-      simplicial vertex. D_k is the sum of the k largest degrees in the
-      pool, which holds S. When G-S has two or more components, each one,
-      C, is cut off by N(C), a subset of S, so |N(C)| >= kappa, and each w
-      in S borders at most deg(w) components: kappa*omega <= D_k.
     - alpha(G): one vertex from each component is an independent set.
+    - D_k/kappa. The first cut has size kappa, the vertex connectivity,
+      since a smallest disconnecting set holds no simplicial vertex. D_k is
+      the sum of the k largest degrees in the pool, which holds S. When G-S
+      has two or more components, each one, C, is cut off by N(C), a subset
+      of S, so |N(C)| >= kappa, and each w in S borders at most deg(w)
+      components: kappa*omega <= D_k.
     No cap grows faster than k: n - k falls, alpha is fixed, and the
     (k+1)-st largest degree is at most the mean of the k before it. So
     k/cap never falls, and a size whose cap cannot win ends the walk."""
@@ -72,25 +72,19 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
     simplicial = simplicial_mask(g)
     pool = g.full_mask & ~simplicial
     best, best_size, best_parts = 0, 1, 0
-    kappa = alpha = 0  # each set the first time its cap is needed
     for size in range(n - 1):
-        if best_parts:
-            if size * best_parts >= best_size * (n - size):
-                break
-            if not kappa:
-                kappa = best_size
-                # degree_sums[k] = D_k, vertices outside the pool counting 0
-                degree_sums = list(accumulate(sorted(
-                    (g.degree(v) if pool >> v & 1 else 0 for v in range(n)),
-                    reverse=True), initial=0))
-            if size * kappa * best_parts >= best_size * degree_sums[size]:
-                break
-            alpha = alpha or _independence_number(g, simplicial)
-            if size * best_parts >= best_size * alpha:
-                break
+        if best_parts and (size * best_parts >= best_size * min(n - size, alpha)
+                           or size * kappa * best_parts >= best_size * degree_sums[size]):
+            break
         for cut in subsets(pool, size):
             parts = len(components(g, cut))
             if parts > 1 and size * best_parts < best_size * parts:
+                if not best_parts:  # the first cut
+                    kappa, alpha = size, _independence_number(g, simplicial)
+                    # degree_sums[k] = D_k, vertices outside the pool counting 0
+                    degree_sums = list(accumulate(sorted(
+                        (g.degree(v) if pool >> v & 1 else 0 for v in range(n)),
+                        reverse=True), initial=0))
                 best, best_size, best_parts = cut, size, parts
     return Fraction(best_size, best_parts), best
 
@@ -286,8 +280,6 @@ def check_condition2_restricted(g: Graph, edge: tuple[int, int]) -> tuple[bool, 
     """(restricted, unrestricted) evaluations of the separator condition, in one walk."""
     u, v = edge
     num, den = _characterization_tau(g)
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
     unrestricted = True
     for restricted_too in _condition2(g, u, v, num, den):
         if restricted_too:
@@ -320,8 +312,6 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[int]:
     size-minimal, and the least mask of its size.
     """
     u, v = edge
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
     num, den = _characterization_tau(g)
     h = g.without_edge(u, v)
     for cut in separating_cuts(h, u, v, g.n - 2):

@@ -104,7 +104,7 @@ SEVERITY_FINDING = "finding"
 def emit_report(report: dict, fmt: str, fh) -> None:
     """Write a scan report as JSON, or its hits as CSV, to an open text file."""
     if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise GraphError(f"unknown report format {fmt!r}")
     if fmt == "json":
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -269,6 +269,12 @@ def test_refused_inputs_exit_cleanly(tmp_path, capsys, argv, extra, code):
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+def test_family_past_62_vertices_names_the_bound(capsys):
+    assert main(["analyze", "--family", "complete:63"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "toughlab: vertex count 63 outside 1..62\n"
+
+
 def _refuse(*args):
     raise GraphError("refused inside the command")
 

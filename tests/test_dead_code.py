@@ -9,9 +9,14 @@ function not named test_*, that nothing else in the module references. A
 name counts as read through a bare name or a string constant (such as an
 enumerator looked up with globals()), never through an attribute that only
 shares its name.
+
+The package also defines exactly three exception classes: GraphError, the
+one refusal (exit 64), Graph6Error, its bad-data case (exit 65), and the
+command line's _WriteError (exit 74).
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -57,6 +62,14 @@ def _referenced_elsewhere(stmt, body) -> bool:
     return stmt.name in _references(other for other in body if other is not stmt)
 
 
+def _is_exception_name(name: str) -> bool:
+    """A builtin exception, or by its name one from another module."""
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type):
+        return issubclass(builtin, BaseException)
+    return name.endswith(("Error", "Exception"))
+
+
 @pytest.mark.parametrize("module", CHECKED + list(TEST_TREES))
 def test_no_unused_top_level_import(module):
     tree = TREES[module] if module in CHECKED else TEST_TREES[module]
@@ -82,3 +95,19 @@ def test_every_test_helper_is_referenced(module):
     dead = [stmt.name for stmt in _functions(body)
             if not stmt.name.startswith("test_") and not _referenced_elsewhere(stmt, body)]
     assert dead == [], f"{module} defines helpers nothing in it references: {dead}"
+
+
+def test_exactly_three_exception_classes():
+    # every class in the package, nested ones included, by the names of its bases
+    bases = {node.name: [base.id if isinstance(base, ast.Name) else base.attr
+                         for base in node.bases if isinstance(base, (ast.Name, ast.Attribute))]
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    found: set[str] = set()
+    while True:
+        grown = {name for name, names in bases.items()
+                 if any(b in found or _is_exception_name(b) for b in names)}
+        if grown == found:
+            break
+        found = grown
+    assert found == {"GraphError", "Graph6Error", "_WriteError"}

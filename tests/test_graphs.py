@@ -107,6 +107,12 @@ class TestConstruction:
         with pytest.raises(GraphError):
             from_edges(65, [])
 
+    def test_refuses_past_graph6_short_form(self):
+        # the one size limit, so every graph has a graph6 string
+        for build in (lambda: Graph(63, (0,) * 63), lambda: from_edges(63, [])):
+            with pytest.raises(GraphError, match=r"outside 1\.\.62"):
+                build()
+
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
@@ -184,6 +190,11 @@ class TestGraph6:
     def test_round_trip_all_graphs_up_to_5(self):
         for n in range(1, 6):
             for g in graph_reps(n):
+                assert parse_graph6(to_graph6(g)) == g
+
+    def test_round_trip_empty_and_complete_up_to_62(self):
+        for n in range(1, 63):
+            for g in (from_edges(n, []), complete(n)):
                 assert parse_graph6(to_graph6(g)) == g
 
     def test_string_round_trip(self):
@@ -486,7 +497,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("reps, n_max, children, neighborhoods", [
         (graph_reps, 6, graphs._any_children, lambda g: range(1 << g.n)),
         (connected_chordal_reps, 8, graphs._chordal_children,
-         lambda g: graphs.clique_masks(g)[1:]),
+         graphs.clique_masks),
     ])
     def test_invariant_rejection_keeps_every_class(self, reps, n_max, children, neighborhoods):
         # oracle: canonically label every child of every parent, rejecting none
@@ -500,7 +511,7 @@ class TestEnumeration:
         (graph_reps, 5, graphs._any_children, lambda g: range(1 << g.n),
          lambda g: g.full_mask),
         (connected_chordal_reps, 7, graphs._chordal_children,
-         lambda g: graphs.clique_masks(g)[1:], graphs.simplicial_mask),
+         graphs.clique_masks, graphs.simplicial_mask),
     ], ids=["graph_reps", "connected_chordal_reps"])
     def test_each_parent_keeps_the_children_of_largest_invariant(
             self, reps, n_max, children, neighborhoods, deletable):

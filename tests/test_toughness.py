@@ -525,6 +525,12 @@ class TestEdgeWitnessSets:
         with pytest.raises(GraphError):
             find_edge_witness_set(cycle(4), (0, 2))
 
+    @pytest.mark.parametrize("call", [find_edge_witness_set, check_condition2_restricted],
+                             ids=["find_edge_witness_set", "check_condition2_restricted"])
+    def test_non_edge_is_refused_by_without_edge(self, call):
+        with pytest.raises(GraphError, match=r"no edge \(0, 2\) to remove"):
+            call(path(4), (0, 2))
+
 
 class TestVertexRange:
     @pytest.mark.parametrize("call", [

@@ -406,7 +406,8 @@ class TestReports:
         assert json.loads(target.read_text()) == report
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        # GraphError, the package's one refusal, is a ValueError
+        with pytest.raises(GraphError, match="unknown report format 'xml'"):
             emit_report(self.EMPTY_SCAN, "xml", io.StringIO())
 
 
