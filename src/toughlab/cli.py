@@ -30,7 +30,6 @@ from .verify import (
     run_suite,
     scan_bound,
     scan_conjecture,
-    suite_names,
 )
 
 EXIT_OK = 0
@@ -215,11 +214,11 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list:
-        for name in suite_names():
+        for name in SUITES:
             sys.stdout.write(name + "\n")
         return EXIT_OK
     run_all = args.suite == "all"
-    names = suite_names() if run_all else [args.suite]
+    names = list(SUITES) if run_all else [args.suite]
     all_passed = True
     for name in names:
         n_max = args.max_n

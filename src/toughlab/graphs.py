@@ -444,9 +444,12 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
 
 
 def relabel(g: Graph, order) -> Graph:
-    """Graph with original vertex order[p] placed at position p."""
+    """Graph with original vertex order[p] placed at position p; order must
+    be a permutation of 0..n-1."""
     n = g.n
     order = tuple(order)
+    if len(order) != n or set(order) != set(range(n)):
+        raise GraphError(f"relabel order {order} is not a permutation of 0..{n - 1}")
     place = [0] * n
     for p, v in enumerate(order):
         place[v] = 1 << p

@@ -1,10 +1,9 @@
 """Exact toughness values: reduced nonnegative fractions plus infinity.
 
 Toughness of a complete graph is infinite and toughness of a disconnected
-graph is zero; everything else is a positive rational. The range tests
-against 1/2 and 1 are plain comparisons: a Fraction compares by integer
-cross-multiplication and INFINITY orders above every fraction, so no float
-ever enters a decision.
+graph is zero; everything else is a positive rational. Range tests are
+plain comparisons: a Fraction compares by integer cross-multiplication and
+INFINITY orders above every fraction, so no float ever enters a decision.
 """
 
 from __future__ import annotations
@@ -47,16 +46,6 @@ def is_finite(value: ToughnessValue) -> bool:
 def exceeds_half(value: ToughnessValue) -> bool:
     """value > 1/2, exact."""
     return value > Fraction(1, 2)
-
-
-def at_most_one(value: ToughnessValue) -> bool:
-    """value <= 1, exact; infinity fails."""
-    return value <= 1
-
-
-def in_half_one_interval(value: ToughnessValue) -> bool:
-    """1/2 < value <= 1, exact."""
-    return Fraction(1, 2) < value <= 1
 
 
 def format_toughness(value: ToughnessValue) -> str:

@@ -47,14 +47,13 @@ from .graphs import (
     simplicial_mask,
     to_graph6,
 )
-from .rational import (ToughnessValue, at_most_one, exceeds_half, in_half_one_interval,
-                       is_finite)
+from .rational import ToughnessValue, exceeds_half, is_finite
 from .recognize import (
+    find_asteroidal_triple,
     find_hole,
     find_induced_claw,
     find_induced_sun,
     find_split_obstruction,
-    is_interval_like,
     is_split,
     is_strongly_chordal,
     universal_vertices,
@@ -69,31 +68,38 @@ from .toughness import (
     vertex_connectivity,
 )
 
+
+def _any(g: Graph) -> bool:
+    return True
+
+
 # scan class -> (enumerator, filter): the members are the enumerator's graphs
 # that pass the filter, up to the enumerator's VERTEX_BOUNDS entry. Enumerators
-# and recognizers are looked up here when called, so patching them reaches the scan.
+# and recognizers are looked up here when called, so patching them reaches the
+# scan. The enumerator yields only chordal graphs, so interval_like tests
+# AT-freeness alone.
 SCAN_CLASSES: dict[str, tuple[str, Callable[[Graph], bool]]] = {
-    "chordal": ("connected_chordal_reps", lambda g: True),
+    "chordal": ("connected_chordal_reps", _any),
     "strongly_chordal": ("connected_chordal_reps", lambda g: is_strongly_chordal(g)),
     "split": ("connected_chordal_reps", lambda g: is_split(g)),
-    "interval_like": ("connected_chordal_reps", lambda g: is_interval_like(g)),
+    "interval_like": ("connected_chordal_reps", lambda g: find_asteroidal_triple(g) is None),
     "all": ("graph_reps", lambda g: g.is_connected()),
 }
 
-# The paper's theorems, one per thm_* suite: no graph of the class is minimally
-# t-tough for t in the range. A scan hit counts against its first row, so the
-# (1/2,1] row comes first. Recognizers are looked up here when called.
-Theorem = tuple[str, Callable[[Graph], bool], Callable[[ToughnessValue], bool], str]
+# The paper's theorems, one per thm_* suite: (class, member, low, high), and no
+# member is minimally t-tough for low < t <= high, with high None for no upper
+# end. A scan hit counts against its first row, so the (1/2,1] row comes first.
+# Recognizers are looked up here when called.
+Theorem = tuple[str, Callable[[Graph], bool], Fraction, Optional[Fraction]]
 
 THEOREMS: dict[str, Theorem] = {
-    "thm_chordal_interval": ("chordal", lambda g: is_chordal(g),
-                             in_half_one_interval, "in (1/2,1]"),
+    "thm_chordal_interval": ("chordal", lambda g: is_chordal(g), Fraction(1, 2), Fraction(1)),
     "thm_strongly_chordal": ("strongly chordal", lambda g: is_strongly_chordal(g),
-                             exceeds_half, "> 1/2"),
-    "thm_split": ("split", lambda g: is_split(g), exceeds_half, "> 1/2"),
+                             Fraction(1, 2), None),
+    "thm_split": ("split", lambda g: is_split(g), Fraction(1, 2), None),
     "thm_universal": ("chordal with a universal vertex",
                       lambda g: is_chordal(g) and bool(universal_vertices(g)),
-                      exceeds_half, "> 1/2"),
+                      Fraction(1, 2), None),
 }
 
 SEVERITY_VIOLATION = "theorem_violation"
@@ -130,7 +136,13 @@ def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
     return (g6, toughness(g)) if _minimally_tough_in(g, exceeds_half) else None
 
 
-def _theorem_detail(cls: str, tau: Fraction, text: str) -> str:
+def _in_range(tau: ToughnessValue, low: Fraction, high: Optional[Fraction]) -> bool:
+    """low < tau <= high, exact; with high None, low < tau."""
+    return low < tau and (high is None or tau <= high)
+
+
+def _theorem_detail(cls: str, tau: Fraction, low: Fraction, high: Optional[Fraction]) -> str:
+    text = f"> {low}" if high is None else f"in ({low},{high}]"
     return f"{cls} and minimally {tau}-tough with tau {text}"
 
 
@@ -143,9 +155,9 @@ def classify_counterexample(g6: str, tau: Fraction) -> tuple[str, str]:
     g = parse_graph6(g6)
     if not is_chordal(g):
         return SEVERITY_FINDING, f"minimally {tau}-tough but not chordal"
-    for cls, member, in_range, text in THEOREMS.values():
-        if in_range(tau) and member(g):
-            return SEVERITY_VIOLATION, _theorem_detail(cls, tau, text)
+    for cls, member, low, high in THEOREMS.values():
+        if _in_range(tau, low, high) and member(g):
+            return SEVERITY_VIOLATION, _theorem_detail(cls, tau, low, high)
     return SEVERITY_CANDIDATE, (
         f"chordal and minimally {tau}-tough with tau > 1; refutation candidate")
 
@@ -193,28 +205,12 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
 # Named suites
 # ---------------------------------------------------------------------------
 
-def _graphs_upto(n_max):
-    for n in range(1, n_max + 1):
-        yield from graph_reps(n)
+def _wheels(n: int) -> tuple[Graph, ...]:
+    return (wheel(n),) if n >= 5 else ()
 
 
-def _chordal_upto(n_max):
-    for n in range(1, n_max + 1):
-        yield from connected_chordal_reps(n)
-
-
-def _wheels_upto(n_max):
-    for n in range(5, n_max + 1):
-        yield wheel(n)
-
-
-def _matched_cliques_upto(n_max):
-    for k in range(3, n_max // 2 + 1):
-        yield matched_cliques(k)
-
-
-def _any(g: Graph) -> bool:
-    return True
+def _matched_cliques(n: int) -> tuple[Graph, ...]:
+    return (matched_cliques(n // 2),) if n >= 6 and n % 2 == 0 else ()
 
 
 def _nontrivial(g: Graph) -> bool:
@@ -387,9 +383,9 @@ def _check_moplicial_neighbors(g: Graph):
 
 def _check_theorem(name: str, g: Graph):
     """No graph of the THEOREMS row's class is minimally t-tough for t in its range."""
-    cls, member, in_range, text = THEOREMS[name]
-    if _minimally_tough_in(g, in_range) and member(g):
-        yield _theorem_detail(cls, toughness(g), text)
+    cls, member, low, high = THEOREMS[name]
+    if _minimally_tough_in(g, lambda t: _in_range(t, low, high)) and member(g):
+        yield _theorem_detail(cls, toughness(g), low, high)
 
 
 def _check_sun_or_hole(g: Graph):
@@ -446,55 +442,52 @@ def _check_matched_cliques(g: Graph):
         yield f"matched_cliques({k}) has a claw"
 
 
-# One row per suite: (source, bound, keep, check). source(n_max) yields the
-# graphs, keep(g) decides whether g counts toward graphs_checked, and check(g)
-# yields one detail string per violation. Rows hold module-level functions or
-# lambdas, never a library function such as toughness itself, so that patching
-# a name in this module reaches every suite.
-Suite = tuple[Callable[[int], Iterator[Graph]], int,
-              Callable[[Graph], bool], Callable[[Graph], Iterator[str]]]
+# One row per suite: (source, bound, keep, check). source names a function of
+# this module that gives the graphs on exactly n vertices, looked up when the
+# suite runs; keep(g) decides whether g counts toward graphs_checked, and
+# check(g) yields one detail string per violation. Rows hold module-level
+# functions or lambdas, never a library function such as toughness itself, so
+# that patching a name in this module reaches every suite.
+Suite = tuple[str, int, Callable[[Graph], bool], Callable[[Graph], Iterator[str]]]
 
 SUITES: dict[str, Suite] = {
-    "prop_connectivity_bound": (_graphs_upto, 7, _nontrivial, _check_connectivity_bound),
-    "prop_witness_sets": (_graphs_upto, 6, lambda g: _minimally_tough_in(g, is_finite),
+    "prop_connectivity_bound": ("graph_reps", 7, _nontrivial, _check_connectivity_bound),
+    "prop_witness_sets": ("graph_reps", 6, lambda g: _minimally_tough_in(g, is_finite),
                           _check_witness_sets),
-    "prop_minseparator": (_graphs_upto, 7, _any, _check_minseparator),
-    "thm_dirac": (_graphs_upto, 7, _any, _check_dirac),
-    "prop_cliquetree_separators": (_chordal_upto, 8, _any, _check_cliquetree_separators),
-    "thm_two_moplexes": (_graphs_upto, 7, lambda g: not g.is_complete(),
+    "prop_minseparator": ("graph_reps", 7, _any, _check_minseparator),
+    "thm_dirac": ("graph_reps", 7, _any, _check_dirac),
+    "prop_cliquetree_separators": ("connected_chordal_reps", 8, _any,
+                                   _check_cliquetree_separators),
+    "thm_two_moplexes": ("graph_reps", 7, lambda g: not g.is_complete(),
                          _check_two_moplexes),
-    "prop_simple_moplicial": (_graphs_upto, 7, _any, _check_simple_moplicial),
-    "thm_characterization": (_graphs_upto, 6, _nontrivial, _check_characterization),
-    "lemma_restricted_separators": (_graphs_upto, 6, _nontrivial,
+    "prop_simple_moplicial": ("graph_reps", 7, _any, _check_simple_moplicial),
+    "thm_characterization": ("graph_reps", 6, _nontrivial, _check_characterization),
+    "lemma_restricted_separators": ("graph_reps", 6, _nontrivial,
                                     _check_restricted_separators),
-    "lemma_sufficient": (_graphs_upto, 7, _nontrivial, _check_sufficient),
-    "thm_chordal_interval": (_graphs_upto, 7, _nontrivial,
+    "lemma_sufficient": ("graph_reps", 7, _nontrivial, _check_sufficient),
+    "thm_chordal_interval": ("graph_reps", 7, _nontrivial,
                              partial(_check_theorem, "thm_chordal_interval")),
-    "lemma_moplicial_neighbors": (_chordal_upto, 7, lambda g: not g.is_complete(),
+    "lemma_moplicial_neighbors": ("connected_chordal_reps", 7, lambda g: not g.is_complete(),
                                   _check_moplicial_neighbors),
     "thm_strongly_chordal": (
-        _chordal_upto, 7, lambda g: not g.is_complete() and is_strongly_chordal(g),
+        "connected_chordal_reps", 7, lambda g: not g.is_complete() and is_strongly_chordal(g),
         partial(_check_theorem, "thm_strongly_chordal")),
-    "thm_split": (_chordal_upto, 7, lambda g: not g.is_complete() and is_split(g),
+    "thm_split": ("connected_chordal_reps", 7, lambda g: not g.is_complete() and is_split(g),
                   partial(_check_theorem, "thm_split")),
-    "thm_universal": (_chordal_upto, 7,
+    "thm_universal": ("connected_chordal_reps", 7,
                       lambda g: not g.is_complete() and bool(universal_vertices(g)),
                       partial(_check_theorem, "thm_universal")),
-    "cor_sun_or_hole": (_graphs_upto, 7, lambda g: _minimally_tough_in(g, exceeds_half),
+    "cor_sun_or_hole": ("graph_reps", 7, lambda g: _minimally_tough_in(g, exceeds_half),
                         _check_sun_or_hole),
-    "cor_split_obstructions": (_graphs_upto, 7, lambda g: _minimally_tough_in(g, exceeds_half),
+    "cor_split_obstructions": ("graph_reps", 7, lambda g: _minimally_tough_in(g, exceeds_half),
                                _check_split_obstructions),
-    "thm_stars": (_graphs_upto, 7,
+    "thm_stars": ("graph_reps", 7,
                   lambda g: _nontrivial(g) and bool(universal_vertices(g))
-                  and at_most_one(toughness(g)),
+                  and toughness(g) <= 1,
                   _check_stars),
-    "family_wheels": (_wheels_upto, 10, _any, _check_wheel),
-    "family_matched_cliques": (_matched_cliques_upto, 8, _any, _check_matched_cliques),
+    "family_wheels": ("_wheels", 10, _any, _check_wheel),
+    "family_matched_cliques": ("_matched_cliques", 8, _any, _check_matched_cliques),
 }
-
-
-def suite_names() -> list[str]:
-    return list(SUITES)
 
 
 def run_suite(name: str, n_max: Optional[int] = None) -> dict:
@@ -510,10 +503,11 @@ def run_suite(name: str, n_max: Optional[int] = None) -> dict:
         raise GraphError(f"suite {name} accepts n_max 1..{bound}, got {n_max}")
     start = time.perf_counter()
     checked, violations = 0, []
-    for g in source(n_max):
-        if keep(g):
-            checked += 1
-            violations.extend({"graph6": to_graph6(g), "detail": detail}
-                              for detail in check(g))
+    for n in range(1, n_max + 1):
+        for g in globals()[source](n):
+            if keep(g):
+                checked += 1
+                violations.extend({"graph6": to_graph6(g), "detail": detail}
+                                  for detail in check(g))
     return {"suite": name, "n_max": n_max, "graphs_checked": checked,
             "violations": violations, "elapsed_s": time.perf_counter() - start}

@@ -17,7 +17,6 @@ from toughlab.chordal import is_chordal
 from toughlab.cli import EXIT_OK, main
 from toughlab.families import k_sun, matched_cliques, star, wheel
 from toughlab.graphs import from_edges, graph_reps, parse_graph6, to_graph6
-from toughlab.rational import in_half_one_interval
 from toughlab.recognize import find_induced_sun, find_split_obstruction, is_split, is_strongly_chordal
 from toughlab.toughness import is_minimally_tough, toughness
 from toughlab.verify import run_suite, scan_conjecture
@@ -62,7 +61,7 @@ def test_04_conjecture_scan_chordal_n8():
     started = time.perf_counter()
     jobs = min(4, os.cpu_count() or 1)
     report, hits = scan_conjecture(8, "chordal", jobs=jobs)
-    hard = [(g6, tau) for g6, tau, _, _ in hits if in_half_one_interval(tau)]
+    hard = [(g6, tau) for g6, tau, _, _ in hits if Fraction(1, 2) < tau <= 1]
     assert not hard, f"theorem-contradicting hits: {hard}"
     for g6, tau, _, _ in hits:
         print(f"  refutation candidate (mathematical finding): {g6} tau={tau}")

@@ -381,6 +381,13 @@ class TestCanonical:
             rng.shuffle(order)
             assert canonical_key(relabel(g, order)) == canonical_key(g)
 
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1), (-1, 0, 1), (0, 1, 3)])
+    def test_relabel_refuses_a_non_permutation(self, order):
+        # a repeat, a short order, a negative index that would wrap around,
+        # and an index past the end
+        with pytest.raises(GraphError, match="not a permutation"):
+            relabel(from_edges(3, [(0, 1), (1, 2)]), order)
+
     @pytest.mark.parametrize("g, calls", [
         (complete(11), 11), (star(10), 10), (complete_multipartite(5, 6), 10),
         (complete_multipartite(3, 4, 4), 17), (cycle(11), 34), (wheel(11), 31),

@@ -577,10 +577,12 @@ class TestExactArithmetic:
     ])
     def test_range_predicates_at_their_boundaries(self, value, over_half, at_most,
                                                   in_interval):
-        from toughlab.rational import at_most_one, exceeds_half, in_half_one_interval
+        from toughlab.rational import exceeds_half
+        from toughlab.verify import _in_range
         assert exceeds_half(value) is over_half
-        assert at_most_one(value) is at_most
-        assert in_half_one_interval(value) is in_interval
+        assert _in_range(value, Fraction(1, 2), None) is over_half
+        assert (value <= 1) is at_most
+        assert _in_range(value, Fraction(1, 2), Fraction(1)) is in_interval
 
     def test_infinity_is_one_object(self):
         import copy

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from toughlab import verify
 from toughlab.chordal import (clique_tree, is_minimal_separator,
                               minimal_separators_via_clique_tree)
 from toughlab.cli import EXIT_OK, main
@@ -24,6 +25,7 @@ from toughlab.graphs import (
     to_graph6,
 )
 from toughlab.rational import exceeds_half
+from toughlab.recognize import find_induced_sun
 from toughlab.toughness import (
     is_minimally_tough,
     toughness,
@@ -35,6 +37,7 @@ from toughlab.verify import (
     SEVERITY_VIOLATION,
     THEOREMS,
     SUITES,
+    _in_range,
     _minimally_tough_in,
     _not_minimal_by_recomputation,
     _put_back,
@@ -43,8 +46,29 @@ from toughlab.verify import (
     emit_report,
     run_suite,
     scan_conjecture,
-    suite_names,
 )
+
+# the range text of each THEOREMS row, as its reports spell it
+RANGE_TEXT = {"thm_chordal_interval": "in (1/2,1]", "thm_strongly_chordal": "> 1/2",
+              "thm_split": "> 1/2", "thm_universal": "> 1/2"}
+
+
+def _split_by_degrees(g):
+    """Hammer-Simeone: with degrees d_1 >= ... >= d_n and m the largest i
+    with d_i >= i - 1, g is split iff d_1 + ... + d_m = m(m - 1) + d_{m+1}
+    + ... + d_n."""
+    d = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    m = max(i for i in range(1, g.n + 1) if d[i - 1] >= i - 1)
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+
+
+def _at_free_by_networkx(g):
+    """Asteroidal-triple-free by networkx: on chordal graphs, interval
+    (Lekkerkerker-Boland)."""
+    nx = pytest.importorskip("networkx")
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return nx.is_at_free(h)
 
 
 class TestRunSuite:
@@ -76,8 +100,8 @@ class TestRunSuite:
             "cor_sun_or_hole": 4, "cor_split_obstructions": 4, "thm_stars": 12,
             "family_wheels": 1, "family_matched_cliques": 0,
         }
-        assert list(checked) == suite_names()
-        for name in suite_names():
+        assert list(checked) == list(SUITES)
+        for name in SUITES:
             bound = SUITES[name][1]
             report = run_suite(name, min(5, bound))
             assert report["violations"] == [], f"{name}: {report['violations'][:3]}"
@@ -85,9 +109,11 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("name", SUITES)
     def test_bound_counts_vertices(self, name):
-        # n_max bounds the vertex count in every suite, families included
-        source = SUITES[name][0]
-        assert max((g.n for g in source(5)), default=0) <= 5
+        # the row's source gives graphs on exactly n vertices, so n_max bounds
+        # the vertex count in every suite, families included
+        source = vars(verify)[SUITES[name][0]]
+        for n in range(1, 7):
+            assert all(g.n == n for g in source(n)), (name, n)
 
     def test_violation_reported_with_reproducer(self, monkeypatch):
         # with the obstruction finder broken, every minimally tough graph
@@ -102,8 +128,8 @@ class TestRunSuite:
     def test_theorem_suites_report_their_row(self, monkeypatch, name):
         # with the kernel calling every graph minimally tough at a tau in the
         # row's range, every kept graph of the row's class is a violation
-        cls, member, in_range, text = THEOREMS[name]
-        for tau in filter(in_range, (Fraction(1), Fraction(3, 2))):
+        cls, member, low, high = THEOREMS[name]
+        for tau in (t for t in (Fraction(1), Fraction(3, 2)) if _in_range(t, low, high)):
             monkeypatch.setattr("toughlab.verify.toughness", lambda g: tau)
             monkeypatch.setattr("toughlab.verify.is_minimally_tough", lambda g: (True, None))
             report = run_suite(name, 5)
@@ -111,7 +137,7 @@ class TestRunSuite:
                        if not g.is_complete() and member(g)]
             assert sorted(v["graph6"] for v in report["violations"]) == sorted(map(to_graph6, members))
             assert {v["detail"] for v in report["violations"]} == {
-                f"{cls} and minimally {tau}-tough with tau {text}"}
+                f"{cls} and minimally {tau}-tough with tau {RANGE_TEXT[name]}"}
 
     def test_separator_generator_cross_checked(self, monkeypatch):
         # the seed step alone, N(C) for the components C of G - N[v], misses
@@ -177,8 +203,25 @@ class TestScan:
         assert report["violations"] == []
         assert report["per_n"] == {"1": 1, "2": 1, "3": 2, "4": 5, "5": 15, "6": 58}
 
-    def test_split_scan_clean_at_6(self):
-        report, _ = scan_conjecture(6, "split")
+    # per-n counts of the filtered scan classes for n = 1..8; the interval
+    # counts are OEIS A005976
+    CLASS_COUNTS = {
+        "strongly_chordal": [1, 1, 2, 5, 15, 57, 263, 1497],
+        "split": [1, 1, 2, 5, 12, 35, 108, 393],
+        "interval_like": [1, 1, 2, 5, 15, 56, 250, 1328],
+    }
+
+    @pytest.mark.parametrize("class_filter", CLASS_COUNTS)
+    def test_class_scan_counts_match_an_independent_filter_to_8(self, class_filter):
+        # each filter shares no code with the scan's own: on chordal graphs,
+        # strongly chordal means sun-free (Farber)
+        independent = {"strongly_chordal": lambda g: find_induced_sun(g) is None,
+                       "split": _split_by_degrees,
+                       "interval_like": _at_free_by_networkx}[class_filter]
+        report, _ = scan_conjecture(8, class_filter)
+        assert report["per_n"] == {str(n): sum(map(independent, connected_chordal_reps(n)))
+                                   for n in range(1, 9)}
+        assert list(report["per_n"].values()) == self.CLASS_COUNTS[class_filter]
         assert report["counterexamples"] == [] and report["violations"] == []
 
     def test_all_scan_finds_wheels(self):
@@ -325,9 +368,9 @@ class TestClassification:
     @pytest.mark.parametrize("name", THEOREMS)
     def test_hit_violates_its_theorem_row(self, name):
         g, tau = self.ROW_HITS[name]
-        cls, _, _, text = THEOREMS[name]
+        cls = THEOREMS[name][0]
         assert classify_counterexample(to_graph6(g), tau) == (
-            SEVERITY_VIOLATION, f"{cls} and minimally {tau}-tough with tau {text}")
+            SEVERITY_VIOLATION, f"{cls} and minimally {tau}-tough with tau {RANGE_TEXT[name]}")
 
     def test_recognizer_patch_reaches_classifier(self, monkeypatch):
         g, tau = self.ROW_HITS["thm_split"]
