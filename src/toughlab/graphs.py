@@ -13,6 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 MAX_VERTICES = 62  # graph6 short form: length byte 63+n must stay below '~' (126)
@@ -261,6 +262,12 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
 # graph6 short form
 # ---------------------------------------------------------------------------
 
+# _PAIRS[p]: the pair (i, j) at payload bit p, the same for every n
+_PAIRS = [(i, j) for j in range(1, MAX_VERTICES) for i in range(j)]
+# _SEXTETS[c]: the six payload bits of byte c, first bit first, one byte 0 or 1 each
+_SEXTETS = {c: bytes(c - 63 >> k & 1 for k in range(5, -1, -1)) for c in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line (trailing newline tolerated)."""
     data = text.rstrip("\r\n")
@@ -293,15 +300,14 @@ def parse_graph6(text: str) -> Graph:
 
 
 def _graph6_rows(n: int, payload: bytes) -> list[int]:
-    """Adjacency rows of a graph6 payload: the upper triangle column by column."""
+    """Adjacency rows of a graph6 payload: the upper triangle column by
+    column, its set bits picked out of _PAIRS. The padding bits pick
+    nothing: parse_graph6 checks that they are zero, and to_graph6 writes
+    them so."""
     rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if payload[pos // 6] - 63 >> (5 - pos % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+    for i, j in compress(_PAIRS, b"".join(map(_SEXTETS.__getitem__, payload))):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return rows
 
 
@@ -334,12 +340,13 @@ def read_graph6_lines(source) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # Canonical labeling
 #
-# Iterated equitable refinement (color = rank of (old color, sorted neighbor
-# colors)) drives an individualization search over the first non-singleton
-# color class. Branch candidates collapse twin vertices (pairs whose swap is
-# an automorphism), which keeps complete and complete-multipartite graphs
-# from exploding. The refinement is pruning only; correctness rests on
-# exploring every non-equivalent completion and taking the least key.
+# Iterated equitable refinement of an ordered partition (each cell split by
+# its vertices' neighbour counts per cell, weighted as base-n digits) drives
+# an individualization search over the first non-singleton cell. Branch
+# candidates collapse twin vertices (pairs whose swap is an automorphism),
+# which keeps complete and complete-multipartite graphs from exploding. The
+# refinement is pruning only; correctness rests on exploring every
+# non-equivalent completion and taking the least key.
 # ---------------------------------------------------------------------------
 
 def _member_table(width: int) -> tuple[tuple[int, ...], ...]:
@@ -353,6 +360,8 @@ def _member_table(width: int) -> tuple[tuple[int, ...], ...]:
 
 # _MEMBERS[m]: the vertices of mask m, for every mask canonical labeling meets
 _MEMBERS = _member_table(_CANONICAL_MAX)
+# _POWERS[n][c]: the weight n**(n-1-c) of one neighbour of cell c
+_POWERS = [[n ** (n - 1 - c) for c in range(n)] for n in range(_CANONICAL_MAX + 1)]
 
 
 def _twin_masks(adj) -> list[int]:
@@ -372,27 +381,54 @@ def _twin_masks(adj) -> list[int]:
     return [sharing[row] | sharing[row | 1 << v] for v, row in enumerate(adj)]
 
 
-def _refine(neighbors, colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Recolor each vertex by the rank of (its color, its neighbors' sorted
-    colors) until no class splits; the result numbers the classes densely.
+def _refine(neighbors, cells: list[list[int]], color: list[int],
+            powers: list[int]) -> list[list[int]]:
+    """Split every non-singleton cell by W(v), the sum of powers[color[w]]
+    over the neighbours w of v, with the parts in decreasing W, until a
+    round splits no cell. cells lists the vertices of each colour in
+    increasing order, and color[v] is the index of v's cell; color is
+    updated in place to the returned cells.
 
-    A vertex alone in its class is ranked by its color alone, which orders
-    it among the other classes just as the full signature would. Each round
-    refines the last, so a round that adds no class has reached the
-    fixpoint, and its ranks are the classes renumbered in color order:
-    exactly what one more round would return.
+    This is the refinement that recolours each vertex by the rank of (its
+    colour, its neighbours' sorted colours), starting from raw degrees and
+    individualizing v of class c as 2c + 1 above the 2c of the rest:
+    - Members of a cell share a degree, since cells start as degree classes
+      and are only ever split.
+    - A vertex has fewer than n neighbours of each colour, so W reads its
+      count vector (count of colour 0, of colour 1, ...) as base-n digits,
+      most significant first.
+    - Of two sorted colour tuples of one length, a < b exactly when a has
+      more of the first colour whose counts differ, that is when
+      W(a) > W(b). So the parts come in the order of their ranks.
+    - Raw degrees and the colours 2c and 2c + 1 map monotonically onto
+      dense cell indices, and a monotone map keeps the order of sorted
+      tuples, so the ranks are the same. A singleton is ranked by its
+      colour alone either way.
     """
     while True:
-        sizes = [0] * (max(colors) + 1)  # the colors passed in need not be dense
-        for c in colors:
-            sizes[c] += 1
-        color_of = colors.__getitem__
-        sigs = [(c, *sorted(map(color_of, nbrs))) if sizes[c] > 1 else (c,)
-                for c, nbrs in zip(colors, neighbors)]
-        ranked = sorted(set(sigs))
-        colors = tuple(map({s: i for i, s in enumerate(ranked)}.__getitem__, sigs))
-        if len(ranked) == len(sizes) - sizes.count(0):  # no class split
-            return colors
+        weight = list(map(powers.__getitem__, color))
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts: dict[int, list[int]] = {}
+            for v in cell:
+                w = sum(map(weight.__getitem__, neighbors[v]))
+                if w in parts:
+                    parts[w].append(v)
+                else:
+                    parts[w] = [v]
+            if len(parts) == 1:
+                split.append(cell)
+            else:
+                split += map(parts.__getitem__, sorted(parts, reverse=True))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+        for c, cell in enumerate(cells):
+            for v in cell:
+                color[v] = c
 
 
 def _canonical_order(g: Graph) -> tuple[int, ...]:
@@ -401,10 +437,37 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
         raise GraphError(f"canonical labeling limited to {_CANONICAL_MAX} vertices")
     n = g.n
     adj = g.adj
-    neighbors = [_MEMBERS[row] for row in adj]
-    twins = _twin_masks(adj)
-    best_key = 1 << n * (n - 1) // 2  # above every key
-    best_order: tuple[int, ...] = tuple(range(n))
+    neighbors = list(map(_MEMBERS.__getitem__, adj))
+    powers = _POWERS[n]
+    degree = list(map(int.bit_count, adj))
+    ranks = sorted(set(degree))
+    color = list(map({r: c for c, r in enumerate(ranks)}.__getitem__, degree))
+    cells = [[] for _ in ranks]
+    for v, c in enumerate(color):
+        cells[c].append(v)
+    leaves = []
+
+    def descend(cells, color):
+        if len(cells) == n:  # all singletons: the cells are the order
+            leaves.append(tuple([v for v, in cells]))
+            return
+        for t, target in enumerate(cells):  # the first non-singleton cell
+            if len(target) > 1:
+                break
+        # one vertex per twin class (_twin_masks): swapping twins is an
+        # automorphism, and no open neighbourhood is a closed one
+        seen = set()
+        for v in target:
+            row = adj[v]
+            if row in seen or row | 1 << v in seen:
+                continue
+            seen.add(row)
+            seen.add(row | 1 << v)
+            # v leaves its cell for a singleton right after it
+            branch = cells[:t] + [[w for w in target if w != v], [v]] + cells[t + 1:]
+            shifted = [c + (c > t) for c in color]
+            shifted[v] = t + 1
+            descend(_refine(neighbors, branch, shifted, powers), shifted)
 
     def leaf_key(order):
         # column j (the j vertices before order[j]) takes j bits, so the int
@@ -416,31 +479,9 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
                 key = key << 1 | (adj[order[i]] >> vj & 1)
         return key
 
-    def descend(colors):
-        nonlocal best_key, best_order
-        # refined colors are dense: classes 0..max(colors), all singletons
-        # at a leaf, and otherwise the least repeated color is the target
-        if max(colors) == n - 1:
-            order = tuple(sorted(range(n), key=colors.__getitem__))
-            key = leaf_key(order)
-            if key < best_key:
-                best_key, best_order = key, order
-            return
-        ranks = sorted(colors)
-        target = next(c for c, d in zip(ranks, ranks[1:]) if c == d)
-        tried = 0  # one vertex per twin class: swapping twins is an automorphism
-        doubled = [c * 2 for c in colors]
-        for v in range(n):
-            if colors[v] != target or twins[v] & tried:
-                continue
-            tried |= 1 << v
-            doubled[v] += 1
-            descend(_refine(neighbors, tuple(doubled)))
-            doubled[v] -= 1
-
-    # _refine only ranks signatures, so raw degrees start it as their ranks would
-    descend(_refine(neighbors, tuple(row.bit_count() for row in adj)))
-    return best_order
+    descend(_refine(neighbors, cells, color, powers), color)
+    # the first leaf of least key: min keeps the first of equal keys
+    return leaves[0] if len(leaves) == 1 else min(leaves, key=leaf_key)
 
 
 def relabel(g: Graph, order) -> Graph:

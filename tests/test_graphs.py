@@ -216,6 +216,30 @@ class TestGraph6:
                 assert type(g.adj) is tuple and Graph(g.n, g.adj) == g
                 assert to_graph6(g) == text
 
+    def test_decoder_matches_a_per_position_reference_up_to_62(self):
+        # the decoder against the upper triangle read bit by bit, on every
+        # n, so on every padding width; random, edgeless and complete
+        def reference_rows(n, payload):
+            rows = [0] * n
+            pos = 0
+            for j in range(1, n):
+                for i in range(j):
+                    if payload[pos // 6] - 63 >> (5 - pos % 6) & 1:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                    pos += 1
+            return rows
+
+        rng = random.Random(35)
+        for n in range(1, 63):
+            pairs = list(combinations(range(n), 2))
+            cases = [from_edges(n, []), complete(n)]
+            cases += [from_edges(n, [p for p in pairs if rng.random() < odds])
+                      for odds in (0.1, 0.5, 0.9)]
+            for g in cases:
+                payload = to_graph6(g)[1:].encode("ascii")
+                assert graphs._graph6_rows(n, payload) == reference_rows(n, payload) == list(g.adj)
+
     def test_line_file_round_trip(self, tmp_path):
         from toughlab.graphs import read_graph6_lines
         target = tmp_path / "all4.g6"
@@ -411,6 +435,130 @@ class TestCanonical:
     def test_canonical_graph_is_isomorphic_to_input(self):
         for g in graph_reps(5)[::5]:
             assert brute_isomorphic(g, canonical_graph(g))
+
+
+def reference_refine(neighbors, colors):
+    """The refinement by rank of (colour, sorted neighbour colours), rounds
+    until no class splits: the definition the cell refinement keeps."""
+    while True:
+        sizes = [0] * (max(colors) + 1)
+        for c in colors:
+            sizes[c] += 1
+        sigs = [(c, *sorted(colors[w] for w in nbrs)) if sizes[c] > 1 else (c,)
+                for c, nbrs in zip(colors, neighbors)]
+        ranked = sorted(set(sigs))
+        colors = tuple({s: i for i, s in enumerate(ranked)}[s] for s in sigs)
+        if len(ranked) == len(sizes) - sizes.count(0):
+            return colors
+
+
+def reference_order(g):
+    """Canonical order by sorted-tuple refinement on colour tuples, the
+    least repeated colour as target, doubled colours to individualize, and
+    the least leaf key, first found on ties."""
+    n = g.n
+    adj = g.adj
+    neighbors = [list(bits(row)) for row in adj]
+    twins = graphs._twin_masks(adj)
+    best = [1 << n * (n - 1) // 2, tuple(range(n))]
+
+    def descend(colors):
+        if max(colors) == n - 1:
+            order = tuple(sorted(range(n), key=colors.__getitem__))
+            key = 0
+            for j in range(1, n):
+                for i in range(j):
+                    key = key << 1 | (adj[order[i]] >> order[j] & 1)
+            if key < best[0]:
+                best[:] = key, order
+            return
+        ranks = sorted(colors)
+        target = next(c for c, d in zip(ranks, ranks[1:]) if c == d)
+        tried = 0
+        doubled = [c * 2 for c in colors]
+        for v in range(n):
+            if colors[v] != target or twins[v] & tried:
+                continue
+            tried |= 1 << v
+            doubled[v] += 1
+            descend(reference_refine(neighbors, tuple(doubled)))
+            doubled[v] -= 1
+
+    descend(reference_refine(neighbors, tuple(row.bit_count() for row in adj)))
+    return best[1]
+
+
+@st.composite
+def labeling_inputs(draw):
+    """A graph on 1 to 11 vertices, randomly relabeled: random edges, or a
+    twin-heavy blow-up of a graph on k <= 5 vertices, each replaced by a
+    clique or an independent set. The blow-up of K_k by independent sets
+    is complete multipartite."""
+    kind = draw(st.sampled_from(["random", "multipartite", "blow-up"]))
+    if kind == "random":
+        n = draw(st.integers(1, graphs._CANONICAL_MAX))
+        odds = draw(st.integers(1, 9))
+        g = from_edges(n, [p for p in combinations(range(n), 2)
+                           if draw(st.integers(0, 9)) < odds])
+    else:
+        k = draw(st.integers(1, 5))
+        sizes = draw(st.lists(st.integers(1, graphs._CANONICAL_MAX // k),
+                              min_size=k, max_size=k))
+        module = [a for a, size in enumerate(sizes) for _ in range(size)]
+        if kind == "multipartite":
+            joined, cliques = set(combinations(range(k), 2)), [False] * k
+        else:
+            joined = {p for p in combinations(range(k), 2) if draw(st.booleans())}
+            cliques = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        g = from_edges(len(module), [
+            (u, v) for u, v in combinations(range(len(module)), 2)
+            if (module[u], module[v]) in joined
+            or module[u] == module[v] and cliques[module[u]]])
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+class TestLabelingOracle:
+    """The cell refinement with neighbour-count weights against the
+    sorted-tuple refinement it replaced, kept here as reference_order."""
+
+    @pytest.mark.parametrize("reps, n_max, children, labelings", [
+        (connected_chordal_reps, 8, graphs._chordal_children, 15828),
+        (graph_reps, 6, graphs._any_children, 1672),
+    ], ids=["connected_chordal_reps", "graph_reps"])
+    def test_every_enumerated_child_labels_as_the_reference(
+            self, monkeypatch, reps, n_max, children, labelings):
+        # every child the enumerators label over the parents up to n_max
+        parents = [g for n in range(1, n_max + 1) for g in reps(n)]
+        label = graphs.canonical_graph
+        made = []
+
+        def checked(g):
+            made.append(g)
+            got = label(g)
+            assert got == relabel(g, reference_order(g)), to_graph6(g)
+            return got
+
+        monkeypatch.setattr(graphs, "canonical_graph", checked)
+        for parent in parents:
+            children(parent)
+        assert len(made) == labelings
+
+    @bounded
+    @given(labeling_inputs())
+    def test_graphs_up_to_the_bound_label_as_the_reference(self, g):
+        assert canonical_graph(g) == relabel(g, reference_order(g))
+
+    @bounded
+    @given(st.integers(1, graphs._CANONICAL_MAX).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1).flatmap(lambda k: st.tuples(
+            *[st.lists(st.integers(0, n - 1), min_size=k, max_size=k)] * 2)))))
+    def test_descending_weight_is_ascending_sorted_colours(self, case):
+        # fewer than n neighbours carry colours below n: W reads the count
+        # of each colour as a base-n digit, colour 0 the most significant
+        n, (a, b) = case
+        weight = graphs._POWERS[n]
+        wa, wb = sum(weight[c] for c in a), sum(weight[c] for c in b)
+        assert (wa > wb, wa == wb) == (sorted(a) < sorted(b), sorted(a) == sorted(b))
 
 
 class TestEnumeration:
