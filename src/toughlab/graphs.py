@@ -197,6 +197,34 @@ def components(g: Graph, removed: int = 0) -> list[int]:
     return out
 
 
+def has_parts(adj, remaining: int, need: int) -> bool:
+    """Whether the vertex set remaining splits into need or more components
+    of the graph with adjacency rows adj.
+
+    Components grow one at a time from the least vertex left, as in
+    ``components``, and need counts the parts still wanted besides the one
+    growing. The answer is True once a vertex is left with none wanted, and
+    False as soon as the vertices left, each one part at most, are fewer
+    than the parts wanted."""
+    need -= 1
+    while remaining:
+        if need <= 0:
+            return True
+        frontier = remaining & -remaining
+        remaining ^= frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & remaining
+            if new:
+                remaining ^= new
+                if remaining.bit_count() < need:
+                    return False
+                frontier |= new
+        need -= 1
+    return need < 0
+
+
 def separates(comps: list[int], u: int, v: int) -> bool:
     """Whether u and v lie in different ones of the given components.
 
@@ -233,17 +261,26 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
     pool is a vertex mask, every vertex by default. Cuts come by increasing
     size, then increasing mask. This is the walk of every edge and
     vertex-pair search. Each S costs one partial search from u, which drops
-    S as soon as it reaches N[v]; no component of g - S is built, so a
-    caller that needs omega(g - S) computes it for the cuts it reads.
+    S as soon as it reaches N[v], and the walk yields the bare mask.
+
+    The common neighbours F = N(u) & N(v) are in every such S: a common
+    neighbour w outside S leaves the path u-w-v in g - S. So the walk joins
+    F to the subsets of pool - F, from size |F| on, and yields nothing when
+    F is not inside pool. F is fixed and disjoint from those subsets, so
+    the cuts keep their order.
     """
     adj = g.adj
     near_v = g.closed(v)
     if near_v >> u & 1:  # u is v or next to it: never apart
         return
     pool &= g.full_mask & ~(1 << u) & ~(1 << v)
-    start = g.full_mask ^ 1 << u
-    for size in range(max_size + 1):
-        for s in subsets(pool, size):
+    common = adj[u] & adj[v]
+    if common & ~pool:
+        return
+    forced = common.bit_count()
+    start = g.full_mask ^ 1 << u ^ common
+    for size in range(forced, max_size + 1):
+        for s in subsets(pool ^ common, size - forced):
             remaining = start ^ s
             frontier = 1 << u
             while frontier:
@@ -255,7 +292,7 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
                 remaining ^= new
                 frontier |= new
             else:
-                yield s
+                yield s | common
 
 
 # ---------------------------------------------------------------------------

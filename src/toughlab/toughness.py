@@ -10,25 +10,31 @@ caps: n - k; alpha(G), since one vertex from each component makes an
 independent set; and D_k/kappa, the sum of the k largest degrees over the
 vertex connectivity, since each component borders kappa or more vertices
 of S. No cap grows faster than k, so no larger size can win either.
+Within a size, a cut is tested with ``graphs.has_parts``, which stops
+counting components once the cut has enough parts to beat the best ratio,
+or can no longer have them; only a winning cut's components are built. A
+size ends at the first winner that meets its cap.
 Every edge and vertex-pair search walks ``graphs.separating_cuts``: the
-cuts S avoiding u and v that leave them apart. Each costs a partial search
-from u, which stops once it reaches v; only the callers that read omega
-build the components of a cut. A Menger path count is the size of the first
-such cut (in G-uv, plus one, when uv is an edge), so it costs time
-exponential in the count; every caller runs it next to an exponential
-toughness search. The edge searches look at G-e only: if u, v are apart in
-(G-e)-S, e bridges G-S and omega(G-S) = omega((G-e)-S) - 1. Minimality
-never recomputes tau(G-e): deleting e = uv lowers tau(G) = t exactly when
-some S avoiding u and v leaves them apart in (G-e)-S with
-|S| < t*omega((G-e)-S), and the search for such an S stops at the first
-one, or at size k once k >= t*(n-k).
+cuts S avoiding u and v that leave them apart, each holding every common
+neighbour of u and v. Each costs a partial search from u, which stops once
+it reaches v. A Menger path count is the size of the first such cut (in
+G-uv, plus one, when uv is an edge), so it costs time exponential in the
+count; every caller runs it next to an exponential toughness search. The
+edge searches look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S
+and omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
+deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
+leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), that is, with
+floor(|S|/t) + 1 parts or more, and the search for such an S stops at the
+first one, or at size k once k >= t*(n-k).
 The toughness, edge and connectivity walks skip simplicial vertices (those
 whose neighbourhood is a clique; a chordal graph has them): N(w) - S lies in
 one component of G - S at most, so S - w keeps every component apart with
-one vertex less, and no smallest or minimizing cut holds w.
+one vertex less, and no smallest or minimizing cut holds w. The toughness
+and connectivity walks put every universal vertex into every cut: one left
+outside S keeps G - S connected.
 Every comparison of ratios or thresholds (a better cut, the size bound,
->= 2t+1, >= t*(omega+1), ...) is cross-multiplied in integers; no division
-and no float is ever involved in a decision.
+>= 2t+1, >= t*(omega+1), ...) is made in integers, cross-multiplied or as
+a floor quotient of integers; no float is ever involved in a decision.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .graphs import (Graph, GraphError, bits, components, separating_cuts, simplicial_mask,
-                     subsets)
+from .graphs import (Graph, GraphError, bits, components, has_parts, mask_of,
+                     separating_cuts, simplicial_mask, subsets)
 from .rational import INFINITY, ToughnessValue, is_finite
 
 
@@ -49,7 +55,19 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
 
     The empty cut comes first and settles disconnected graphs. The best ratio
     is the pair best_size/best_parts, 1/0 before any cut, and every decision
-    is an integer product; one Fraction is built at the end.
+    is made in integers; one Fraction is built at the end.
+
+    Three rules skip the cuts that cannot change the answer:
+    - The universal vertices U are in every disconnecting cut, since one
+      outside S keeps G-S connected; U holds no simplicial vertex of a
+      noncomplete graph. So the walk joins U to the subsets of the rest of
+      the pool, from size |U| on, in the same mask order.
+    - A k-cut wins only with more than k*best_parts/best_size parts, at
+      least two, so it is tested with ``has_parts``, which stops at that
+      count. Only a winner's components are built, for its omega.
+    - A size ends at the first winner that meets a cap on omega at that
+      size: no later cut of the size has more parts, and only a strict
+      gain wins.
 
     Once a cut is found, the walk ends at the first size k where some cap
     on omega(G-S), |S| = k, gives no ratio strictly below the best, so the
@@ -68,25 +86,40 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
     k/cap never falls, and a size whose cap cannot win ends the walk."""
     if g.is_complete():
         return INFINITY, None
-    n = g.n
+    n, adj, full = g.n, g.adj, g.full_mask
     simplicial = simplicial_mask(g)
-    pool = g.full_mask & ~simplicial
+    pool = full & ~simplicial
+    universal = _universal_mask(g)
+    forced, free, left = universal.bit_count(), pool ^ universal, full ^ universal
     best, best_size, best_parts = 0, 1, 0
-    for size in range(n - 1):
+    for size in range(forced, n - 1):
         if best_parts and (size * best_parts >= best_size * min(n - size, alpha)
                            or size * kappa * best_parts >= best_size * degree_sums[size]):
             break
-        for cut in subsets(pool, size):
+        need = max(2, size * best_parts // best_size + 1)
+        for cut in subsets(free, size - forced):
+            if not has_parts(adj, left ^ cut, need):
+                continue
+            cut |= universal
             parts = len(components(g, cut))
-            if parts > 1 and size * best_parts < best_size * parts:
-                if not best_parts:  # the first cut
-                    kappa, alpha = size, _independence_number(g, simplicial)
-                    # degree_sums[k] = D_k, vertices outside the pool counting 0
-                    degree_sums = list(accumulate(sorted(
-                        (g.degree(v) if pool >> v & 1 else 0 for v in range(n)),
-                        reverse=True), initial=0))
-                best, best_size, best_parts = cut, size, parts
+            if not best_parts:  # the first cut
+                kappa, alpha = size, _independence_number(g, simplicial)
+                # degree_sums[k] = D_k, vertices outside the pool counting 0
+                degree_sums = list(accumulate(sorted(
+                    (g.degree(v) if pool >> v & 1 else 0 for v in range(n)),
+                    reverse=True), initial=0))
+            best, best_size, best_parts = cut, size, parts
+            # parts >= min(n - k, alpha, floor(D_k/kappa)); kappa = 0 on a
+            # disconnected graph, whose only cut of size 0 is the empty one
+            if parts >= min(n - size, alpha) or (parts + 1) * kappa > degree_sums[size]:
+                break
+            need = parts + 1
     return Fraction(best_size, best_parts), best
+
+
+def _universal_mask(g: Graph) -> int:
+    """Mask of the vertices adjacent to all others."""
+    return mask_of(v for v in range(g.n) if g.degree(v) == g.n - 1)
 
 
 def _independence_number(g: Graph, simplicial: int) -> int:
@@ -170,7 +203,9 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
     edge; S = 0 covers bridges. At size k no cut qualifies once
     k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
     k with k*den < num*(n-k). The walk skips the simplicial vertices of
-    G-uv: those of G that are not common neighbours of u and v.
+    G-uv: those of G that are not common neighbours of u and v. It puts the
+    common neighbours into every cut, and ``has_parts`` tests a cut for
+    floor(|S|*den/num) + 1 parts, the fewest that qualify, and stops there.
     """
     t = toughness(g) if tau is None else tau
     if t is INFINITY or not t:
@@ -182,7 +217,7 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
         pool = ~(simplicial & ~(g.adj[u] & g.adj[v]))
         h = g.without_edge(u, v)
         for s in separating_cuts(h, u, v, largest, pool):
-            if s.bit_count() * den < num * len(components(h, s)):
+            if has_parts(h.adj, h.full_mask ^ s, s.bit_count() * den // num + 1):
                 break
         else:
             return False, (u, v)
@@ -217,16 +252,22 @@ def vertex_connectivity(g: Graph) -> int:
     """Size of a smallest disconnecting vertex set; n-1 for complete graphs.
 
     One walk over cuts by increasing size, so the cost is exponential in the
-    result: at most the sum over k <= kappa of C(n, k) component computations,
-    each reading every adjacency row at most once.
+    result: at most the sum over k <= kappa of C(n, k) tests of whether G - S
+    has two parts, each growing one component. Every universal vertex is in
+    every cut, since one outside S keeps G - S connected, so the walk joins
+    them to the subsets of the rest.
     """
     if g.is_complete():
         return g.n - 1
     # a noncomplete graph has a nonadjacent pair, which V minus the pair
-    # disconnects, and a smallest disconnecting set holds no simplicial vertex
-    pool = g.full_mask & ~simplicial_mask(g)
-    return next(size for size in range(g.n - 1)
-                for s in subsets(pool, size) if len(components(g, s)) > 1)
+    # disconnects; a smallest disconnecting set holds no simplicial vertex,
+    # and it holds every universal vertex
+    universal = _universal_mask(g)
+    forced = universal.bit_count()
+    rest = g.full_mask & ~simplicial_mask(g) & ~universal
+    return next(size for size in range(forced, g.n - 1)
+                for s in subsets(rest, size - forced)
+                if has_parts(g.adj, g.full_mask ^ s ^ universal, 2))
 
 
 # ---------------------------------------------------------------------------

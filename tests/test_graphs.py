@@ -25,6 +25,7 @@ from toughlab.graphs import (
     connected_chordal_reps,
     from_edges,
     graph_reps,
+    has_parts,
     level_map,
     mask_of,
     parse_graph6,
@@ -324,6 +325,40 @@ class TestComponents:
     def test_long_components_match_search_oracle(self, case):
         g, removed = case
         assert components(g, removed) == components_oracle(g, removed)
+
+
+@st.composite
+def sparse_graphs_with_removed_sets(draw):
+    """A graph on 1 to 62 vertices, each pair an edge with a drawn odds of 0
+    to 6 in n, so the part counts range from one to many, and a removed set
+    with a drawn odds of 0 to 2 in 4 per vertex."""
+    n = draw(st.integers(1, 62))
+    rng = draw(st.randoms(use_true_random=False))
+    odds, cut = draw(st.integers(0, 6)), draw(st.integers(0, 2))
+    edges = [p for p in combinations(range(n), 2) if rng.randrange(n) < odds]
+    return from_edges(n, edges), mask_of(v for v in range(n) if rng.randrange(4) < cut)
+
+
+class TestHasParts:
+    """has_parts, which stops counting components early, against the length
+    of the full component list, for every need from 0 to n + 1."""
+
+    def test_matches_component_count_up_to_6(self):
+        for n in range(1, 7):
+            for g in graph_reps(n):
+                for removed in range(1 << n):
+                    parts = len(components(g, removed))
+                    for need in range(n + 2):
+                        assert has_parts(g.adj, g.full_mask & ~removed, need) == (parts >= need), \
+                            (g, removed, need)
+
+    @bounded
+    @given(sparse_graphs_with_removed_sets())
+    def test_matches_component_count_up_to_62(self, case):
+        g, removed = case
+        parts = len(components(g, removed))
+        for need in range(g.n + 2):
+            assert has_parts(g.adj, g.full_mask & ~removed, need) == (parts >= need), need
 
 
 class TestSubsets:

@@ -20,6 +20,7 @@ from toughlab.graphs import (
     connected_chordal_reps,
     from_edges,
     graph_reps,
+    has_parts,
     mask_of,
     parse_graph6,
     relabel,
@@ -844,6 +845,48 @@ class TestRandomGeneralGraphs:
         assert is_minimally_tough(g) == recomputed_minimality(g)
 
 
+@st.composite
+def cones(draw):
+    """A random graph on 1 to 12 vertices, each pair an edge with a drawn
+    odds of 1 to 9 in 10, joined to 1 to 3 universal vertices, randomly
+    labeled."""
+    base, apexes = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    odds = draw(st.integers(1, 9))
+    n = base + apexes
+    edges = [p for p in combinations(range(base), 2) if draw(st.integers(0, 9)) < odds]
+    edges += [(v, apex) for apex in range(base, n) for v in range(apex)]
+    return relabel(from_edges(n, edges), draw(st.permutations(range(n))))
+
+
+class TestForcedVertices:
+    """The walks put every universal vertex into every disconnecting cut
+    (wheels have one, cones one to three), and the edge walk puts the
+    common neighbours of u and v into every u-v cut. Both must keep the
+    witness cut, the witness edge and kappa of the unpruned walks."""
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_wheels_match_unpruned_walks(self, n):
+        g = wheel(n)
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+        assert is_minimally_tough(g) == recomputed_minimality(g)
+
+    @bounded
+    @given(cones())
+    def test_cone_witness_matches_unpruned_walk(self, g):
+        assert toughness_witness(g) == unpruned_toughness_witness(g)
+
+    @bounded
+    @given(cones())
+    def test_cone_minimality_matches_recomputation(self, g):
+        assert is_minimally_tough(g) == recomputed_minimality(g)
+
+    @bounded
+    @given(cones())
+    def test_cone_connectivity_matches_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        assert vertex_connectivity(g) == nx.node_connectivity(to_networkx(nx, g))
+
+
 def necklace(hubs, beads):
     """hubs vertices 0..hubs-1 in a ring, each consecutive pair joined by
     beads paths of length two; the beads are vertices hubs.. on."""
@@ -871,6 +914,18 @@ def counted_components(monkeypatch):
     # the package's toughness attribute is the function, not the module
     for name in ("toughness", "graphs"):
         monkeypatch.setattr(importlib.import_module(f"toughlab.{name}"), "components", counting)
+    return calls
+
+
+def counted_has_parts(monkeypatch):
+    """Count the has_parts calls made from the toughness module."""
+    calls = []
+
+    def counting(adj, remaining, need):
+        calls.append(remaining)
+        return has_parts(adj, remaining, need)
+
+    monkeypatch.setattr(importlib.import_module("toughlab.toughness"), "has_parts", counting)
     return calls
 
 
@@ -922,15 +977,23 @@ class TestBoundedWalk:
     def test_tight_caps_keep_the_witness(self, g):
         assert toughness_witness(g) == unpruned_toughness_witness(g)
 
-    @pytest.mark.parametrize("g, calls", [
-        # sizes 0 and 1 over the 22 inner vertices; D_2/kappa = 4 stops size 2
-        (path(24), 1 + 22),
-        # sizes 0 to 2; D_3/kappa = 3 stops size 3
-        (cycle(20), 1 + 20 + 190),
-        # sizes 0 to 5 over all ten vertices; alpha = 2 stops size 6
-        (matched_cliques(5), 1 + 10 + 45 + 120 + 210 + 252),
-    ], ids=["path24", "cycle20", "matched_cliques5"])
-    def test_pinned_components_calls(self, monkeypatch, g, calls):
+    @pytest.mark.parametrize("g, tested, built", [
+        # sizes 0 and 1, where the first inner vertex leaves two parts and
+        # meets D_1/kappa = 2; D_2/kappa = 4 stops size 2
+        (path(24), 1 + 1, 1),
+        # sizes 0 and 1, then size 2 up to {0, 2}, which meets D_2/kappa = 2
+        (cycle(20), 1 + 20 + 2, 1),
+        # sizes 0 to 4 over all ten vertices, then size 5 up to its first
+        # cut, which meets alpha = 2
+        (matched_cliques(5), 1 + 10 + 45 + 120 + 210 + 6, 1),
+        # the hub in every cut: sizes 1 to 7 with 0 to 6 of the 15 rim
+        # vertices, then size 8 up to its first cut of 7 parts, which meets
+        # alpha = 7; one winner at each size from 3 to 8
+        (wheel(16), 1 + 15 + 105 + 455 + 1365 + 3003 + 5005 + 1079, 6),
+    ], ids=["path24", "cycle20", "matched_cliques5", "wheel16"])
+    def test_pinned_components_calls(self, monkeypatch, g, tested, built):
         counted = counted_components(monkeypatch)
+        parts_tests = counted_has_parts(monkeypatch)
         toughness_witness(g)
-        assert len(counted) == calls
+        assert len(parts_tests) == tested
+        assert len(counted) == built
