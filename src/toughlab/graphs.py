@@ -139,9 +139,13 @@ class Graph:
     def is_connected(self) -> bool:
         return len(components(self)) == 1
 
-    def without_edge(self, u: int, v: int) -> "Graph":
+    def check_edge(self, u: int, v: int) -> None:
+        """Refuse the pair unless uv is an edge."""
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v}) to remove")
+
+    def without_edge(self, u: int, v: int) -> "Graph":
+        self.check_edge(u, v)
         rows = list(self.adj)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
@@ -254,14 +258,17 @@ def simplicial_mask(g: Graph) -> int:
 
 
 def separating_cuts(g: Graph, u: int, v: int, max_size: int,
-                    pool: int = -1) -> Iterator[int]:
-    """Yield every S inside pool, avoiding u and v, with |S| <= max_size
-    that leaves u and v in different components of g - S.
+                    pool: int = -1) -> Iterator[tuple[int, int]]:
+    """Yield (S, far) for every S inside pool, avoiding u and v, with
+    |S| <= max_size that leaves u and v apart in (g - uv) - S, where far is
+    the vertex set of (g - uv) - S outside u's component.
 
     pool is a vertex mask, every vertex by default. Cuts come by increasing
     size, then increasing mask. This is the walk of every edge and
-    vertex-pair search. Each S costs one partial search from u, which drops
-    S as soon as it reaches N[v], and the walk yields the bare mask.
+    vertex-pair search, and it ignores the edge uv: each S costs one
+    partial search from u that never enters v and drops S once it reaches
+    a neighbour of v; far is what the search did not reach, v added, and
+    holds no u, so it has the same components in g as in g - uv.
 
     The common neighbours F = N(u) & N(v) are in every such S: a common
     neighbour w outside S leaves the path u-w-v in g - S. So the walk joins
@@ -269,16 +276,15 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
     F is not inside pool. F is fixed and disjoint from those subsets, so
     the cuts keep their order.
     """
-    adj = g.adj
-    near_v = g.closed(v)
-    if near_v >> u & 1:  # u is v or next to it: never apart
+    if u == v:
         return
+    adj, near_v = g.adj, g.adj[v]
     pool &= g.full_mask & ~(1 << u) & ~(1 << v)
-    common = adj[u] & adj[v]
+    common = adj[u] & near_v
     if common & ~pool:
         return
     forced = common.bit_count()
-    start = g.full_mask ^ 1 << u ^ common
+    start = g.full_mask ^ 1 << u ^ 1 << v ^ common
     for size in range(forced, max_size + 1):
         for s in subsets(pool ^ common, size - forced):
             remaining = start ^ s
@@ -292,7 +298,7 @@ def separating_cuts(g: Graph, u: int, v: int, max_size: int,
                 remaining ^= new
                 frontier |= new
             else:
-                yield s | common
+                yield s | common, remaining | 1 << v
 
 
 # ---------------------------------------------------------------------------

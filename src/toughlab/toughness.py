@@ -4,28 +4,18 @@ characterization of non-minimally tough graphs.
 Every cut search walks one cut size at a time through ``graphs.subsets``,
 the k-subset kernel (Gosper's hack), so a tie goes to the least mask of the
 least size. Toughness is minimized in increasing cut size from the empty
-cut, which settles disconnected graphs. The walk ends at the first size k
-where no cut can beat the best ratio, as omega(G-S) at |S| = k has three
-caps: n - k; alpha(G), since one vertex from each component makes an
-independent set; and D_k/kappa, the sum of the k largest degrees over the
-vertex connectivity, since each component borders kappa or more vertices
-of S. No cap grows faster than k, so no larger size can win either.
-Within a size, a cut is tested with ``graphs.has_parts``, which stops
-counting components once the cut has enough parts to beat the best ratio,
-or can no longer have them; only a winning cut's components are built. A
-size ends at the first winner that meets its cap.
-Every edge and vertex-pair search walks ``graphs.separating_cuts``: the
-cuts S avoiding u and v that leave them apart, each holding every common
-neighbour of u and v. Each costs a partial search from u, which stops once
-it reaches v. A Menger path count is the size of the first such cut (in
-G-uv, plus one, when uv is an edge), so it costs time exponential in the
-count; every caller runs it next to an exponential toughness search. The
-edge searches look at G-e only: if u, v are apart in (G-e)-S, e bridges G-S
-and omega(G-S) = omega((G-e)-S) - 1. Minimality never recomputes tau(G-e):
-deleting e = uv lowers tau(G) = t exactly when some S avoiding u and v
-leaves them apart in (G-e)-S with |S| < t*omega((G-e)-S), that is, with
-floor(|S|/t) + 1 parts or more, and the search for such an S stops at the
-first one, or at size k once k >= t*(n-k).
+cut, which settles disconnected graphs; ``toughness_witness`` states the
+caps on omega(G-S) that end its walk and the tests that skip a cut.
+Every edge and vertex-pair search walks ``graphs.separating_cuts``, which
+asks its question in G-uv without building it. It yields each cut S
+avoiding u and v that leaves them apart in (G-uv)-S, with far, the
+vertices of (G-uv)-S outside u's component. The callers read G and far:
+u's component is one part, far has the same parts in G as in G-uv, and
+when uv is an edge it bridges G-S, so omega(G-S) = omega((G-uv)-S) - 1.
+A Menger path count is the size of the first such cut, plus one when uv
+is an edge, so it costs time exponential in the count; every caller runs
+it next to an exponential toughness search. Minimality never recomputes
+tau(G-e); ``is_minimally_tough`` states the cut that decides an edge.
 The toughness, edge and connectivity walks skip simplicial vertices (those
 whose neighbourhood is a clique; a chordal graph has them): N(w) - S lies in
 one component of G - S at most, so S - w keeps every component apart with
@@ -182,6 +172,16 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
     return True
 
 
+def _cut_pool(g: Graph, simplicial: int, u: int, v: int) -> int:
+    """The pool of a u-v cut walk without the simplicial vertices of G-uv,
+    from the mask simplicial of those of G. A w outside {u, v} has the same
+    N(w) in both, a clique of G-uv exactly when it is one of G and does not
+    hold both u and v; so w is simplicial in G-uv exactly when it is in G
+    and is not a common neighbour of u and v. When uv is not an edge, no
+    common neighbour is simplicial and the mask is the same."""
+    return ~(simplicial & ~(g.adj[u] & g.adj[v]))
+
+
 @lru_cache(maxsize=1 << 15)
 def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
                        ) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -203,9 +203,9 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
     edge; S = 0 covers bridges. At size k no cut qualifies once
     k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
     k with k*den < num*(n-k). The walk skips the simplicial vertices of
-    G-uv: those of G that are not common neighbours of u and v. It puts the
-    common neighbours into every cut, and ``has_parts`` tests a cut for
-    floor(|S|*den/num) + 1 parts, the fewest that qualify, and stops there.
+    G-uv (``_cut_pool``) and puts the common neighbours into every cut.
+    u's component is one part, so ``has_parts`` tests far for
+    floor(|S|*den/num) more, the fewest that qualify, and stops there.
     """
     t = toughness(g) if tau is None else tau
     if t is INFINITY or not t:
@@ -214,10 +214,8 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
     largest = (num * g.n - 1) // (num + den)
     simplicial = simplicial_mask(g)
     for u, v in g.edges():
-        pool = ~(simplicial & ~(g.adj[u] & g.adj[v]))
-        h = g.without_edge(u, v)
-        for s in separating_cuts(h, u, v, largest, pool):
-            if has_parts(h.adj, h.full_mask ^ s, s.bit_count() * den // num + 1):
+        for s, far in separating_cuts(g, u, v, largest, _cut_pool(g, simplicial, u, v)):
+            if has_parts(g.adj, far, s.bit_count() * den // num):
                 break
         else:
             return False, (u, v)
@@ -232,19 +230,15 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
     """Maximum number of pairwise internally vertex-disjoint u-v paths.
 
     By Menger's theorem this is the size of a smallest cut separating u from
-    v when uv is not an edge. When uv is an edge it counts as one path and
-    the rest are counted in G - uv. The cut walk makes at most the sum over
-    k <= the result of C(n-2, k) partial searches from u, and builds no
-    component.
+    v in G - uv, plus one for the edge uv when there is one. The walk makes
+    at most the sum over k <= the result of C(n-2, k) partial searches from
+    u, and builds no component.
     """
     if u == v:
         raise GraphError("path count needs two distinct vertices")
-    edge = g.has_edge(u, v)
-    if edge:
-        g = g.without_edge(u, v)
-    # V - {u, v} separates u from v once they are not adjacent, and a
-    # smallest separator holds no simplicial vertex
-    cut = next(separating_cuts(g, u, v, g.n - 2, ~simplicial_mask(g)))
+    edge = g.has_edge(u, v)  # refuses a vertex outside the graph
+    # V - {u, v} is such a cut, and a smallest one holds no simplicial vertex
+    cut, _ = next(separating_cuts(g, u, v, g.n - 2, _cut_pool(g, simplicial_mask(g), u, v)))
     return edge + cut.bit_count()
 
 
@@ -292,11 +286,10 @@ def _condition2(g: Graph, u: int, v: int, num: int, den: int) -> Iterator[bool]:
     |S| >= t*(omega+1), whether it breaks the restricted form too, which
     only quantifies over separators whose every vertex has neighbors in at
     least two components of (G-e)-S."""
-    h = g.without_edge(u, v)
-    for s in separating_cuts(h, u, v, g.n - 2):
-        # u, v apart in (G-e)-S: e bridges G-S, omega(G-S) = len(comps) - 1,
-        # and S separates G exactly when comps has three parts or more
-        comps = components(h, s)
+    for s, far in separating_cuts(g, u, v, g.n - 2):
+        # u's component of (G-e)-S, then far's: e bridges G-S, omega(G-S) =
+        # len(comps) - 1, and S separates G exactly when comps has three or more
+        comps = [g.full_mask ^ s ^ far] + components(g, g.full_mask ^ far)
         if len(comps) >= 3 and s.bit_count() * den < num * len(comps):
             yield all(sum(1 for comp in comps if g.adj[w] & comp) >= 2 for w in bits(s))
 
@@ -321,6 +314,7 @@ def check_condition2_restricted(g: Graph, edge: tuple[int, int]) -> tuple[bool, 
     """(restricted, unrestricted) evaluations of the separator condition, in one walk."""
     u, v = edge
     num, den = _characterization_tau(g)
+    g.check_edge(u, v)
     unrestricted = True
     for restricted_too in _condition2(g, u, v, num, den):
         if restricted_too:
@@ -354,9 +348,9 @@ def find_edge_witness_set(g: Graph, edge: tuple[int, int]) -> Optional[int]:
     """
     u, v = edge
     num, den = _characterization_tau(g)
-    h = g.without_edge(u, v)
-    for cut in separating_cuts(h, u, v, g.n - 2):
-        parts = len(components(h, cut))  # omega(G-S) + 1: e bridges G-S
+    g.check_edge(u, v)
+    for cut, far in separating_cuts(g, u, v, g.n - 2):
+        parts = 1 + len(components(g, g.full_mask ^ far))  # omega(G-S) + 1
         # the empty cut comes first and only when e is a bridge of G
         if not cut or (parts - 1) * num <= cut.bit_count() * den < parts * num:
             return cut

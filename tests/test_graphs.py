@@ -370,17 +370,43 @@ class TestSubsets:
             assert list(subsets(pool, size)) == expected
 
 
+def separating_cuts_oracle(g, u, v, max_size):
+    """Oracle: every (S, far) by brute force on g - uv, by size then mask,
+    far the vertices of (g - uv) - S that a plain search from u misses."""
+    h = g.without_edge(u, v) if g.has_edge(u, v) else g
+    others = g.full_mask & ~(1 << u) & ~(1 << v)
+    return [(s, h.full_mask ^ s ^ mask_of(reached(h, s, u)))
+            for s in sorted(range(1 << g.n), key=lambda s: (s.bit_count(), s))
+            if not s & ~others and s.bit_count() <= max_size and not reaches(h, s, u, v)]
+
+
+@st.composite
+def graphs_with_pairs(draw):
+    """A graph on 7 to 12 vertices, each pair an edge with a drawn odds of
+    1 to 7 in 10, and two distinct vertices of it."""
+    n = draw(st.integers(7, 12))
+    odds = draw(st.integers(1, 7))
+    g = from_edges(n, [p for p in combinations(range(n), 2) if draw(st.integers(0, 9)) < odds])
+    u, v = draw(st.permutations(range(n)))[:2]
+    return g, u, v
+
+
 class TestSeparatingCuts:
     def test_matches_definition_up_to_6(self):
+        # adjacent pairs are asked in g - uv, so every pair has cuts
         for n in range(2, 7):
             for g in graph_reps(n):
-                for u, v in combinations(range(n), 2):
-                    others = g.full_mask & ~(1 << u) & ~(1 << v)
-                    cuts = sorted((s.bit_count(), s) for s in range(1 << n)
-                                  if not s & ~others and not reaches(g, s, u, v))
+                for u, v in permutations(range(n), 2):
+                    cuts = separating_cuts_oracle(g, u, v, n)
                     for max_size in range(n + 1):
-                        expected = [s for size, s in cuts if size <= max_size]
+                        expected = [cut for cut in cuts if cut[0].bit_count() <= max_size]
                         assert list(separating_cuts(g, u, v, max_size)) == expected, (g, u, v)
+
+    @bounded
+    @given(graphs_with_pairs())
+    def test_matches_definition_up_to_12(self, case):
+        g, u, v = case
+        assert list(separating_cuts(g, u, v, g.n)) == separating_cuts_oracle(g, u, v, g.n)
 
     def test_a_vertex_is_never_apart_from_itself(self):
         for g in graph_reps(5):
@@ -388,14 +414,15 @@ class TestSeparatingCuts:
                 assert list(separating_cuts(g, u, u, g.n)) == [], (g, u)
 
     def test_the_walk_builds_no_components_up_to_6(self, monkeypatch):
-        # each cut costs one partial search from u; omega(g - S) is left to
-        # the callers that read it
+        # each cut costs one partial search from u, which leaves far; the
+        # components of g - S are left to the callers that read them
         built = []
         monkeypatch.setattr(graphs, "components", lambda g, removed=0: built.append(removed))
         for n in range(2, 7):
             for g in graph_reps(n):
                 for u, v in permutations(range(n), 2):
-                    assert all(isinstance(s, int) for s in separating_cuts(g, u, v, n))
+                    assert all(type(cut) is tuple and list(map(type, cut)) == [int, int]
+                               for cut in separating_cuts(g, u, v, n)), (g, u, v)
         assert built == []
 
     def test_pool_keeps_only_the_cuts_inside_it_up_to_5(self):
@@ -404,7 +431,7 @@ class TestSeparatingCuts:
                 for u, v in combinations(range(n), 2):
                     walk = list(separating_cuts(g, u, v, n))
                     for pool in range(-1, 1 << n):
-                        inside = [s for s in walk if not s & ~pool]
+                        inside = [(s, far) for s, far in walk if not s & ~pool]
                         assert list(separating_cuts(g, u, v, n, pool)) == inside, (g, u, v, pool)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from toughlab.chordal import is_chordal, is_clique, is_minimal_separator, minimal_separators
 from toughlab.families import complete, cycle, k_sun, matched_cliques, path, star, wheel
 from toughlab.graphs import (
+    Graph,
     GraphError,
     bits,
     components,
@@ -538,11 +539,32 @@ class TestVertexRange:
         find_edge_witness_set,
         check_condition2_restricted,
         lambda g, edge: g.without_edge(*edge),
-    ], ids=["find_edge_witness_set", "check_condition2_restricted", "without_edge"])
+        lambda g, edge: disjoint_path_count(g, *edge),
+    ], ids=["find_edge_witness_set", "check_condition2_restricted", "without_edge",
+            "disjoint_path_count"])
     @pytest.mark.parametrize("edge", [(-1, 2), (7, 0)])
     def test_vertex_outside_graph_is_graph_error(self, call, edge):
         with pytest.raises(GraphError, match="outside"):
             call(path(4), edge)
+
+
+class TestEdgeQuestionsReadG:
+    def test_no_edge_question_copies_g_minus_uv_up_to_6(self, monkeypatch):
+        # separating_cuts asks every u-v question in G - uv without building it
+        def refused(g, u, v):
+            raise AssertionError(f"G - {u}{v} copied")
+
+        monkeypatch.setattr(Graph, "without_edge", refused)
+        for g in _reps_through(6):
+            for u, v in combinations(range(g.n), 2):
+                disjoint_path_count(g, u, v)
+            is_minimally_tough.__wrapped__(g)
+            if g.is_complete() or not g.is_connected():
+                continue
+            check_non_minimality_characterization(g)
+            for edge in g.edges():
+                find_edge_witness_set(g, edge)
+                check_condition2_restricted(g, edge)
 
 
 class TestExactArithmetic:

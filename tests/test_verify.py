@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from toughlab import verify
-from toughlab.chordal import (clique_tree, is_minimal_separator,
-                              minimal_separators_via_clique_tree)
+from toughlab.chordal import (clique_tree, is_chordal, is_minimal_separator,
+                              maximum_neighbor, maximum_neighboring_edge,
+                              minimal_separators_via_clique_tree, moplexes)
 from toughlab.cli import EXIT_OK, main
 from toughlab.families import cycle, k_sun, star, wheel
 from toughlab.graphs import (
@@ -22,14 +23,16 @@ from toughlab.graphs import (
     from_edges,
     graph_reps,
     level_map,
+    parse_graph6,
     to_graph6,
 )
 from toughlab.rational import exceeds_half
-from toughlab.recognize import find_induced_sun
+from toughlab.recognize import find_induced_sun, is_split, is_strongly_chordal
 from toughlab.toughness import (
     is_minimally_tough,
     toughness,
     toughness_witness,
+    vertex_connectivity,
 )
 from toughlab.verify import (
     SEVERITY_CANDIDATE,
@@ -500,3 +503,23 @@ class TestExhaustiveData:
                     assert delta == ceil_twice_tau, to_graph6(g)
             minimal_counts.append(minimal)
         assert minimal_counts == [1, 3, 6, 13, 31]
+
+    def test_moplex_lemma_residue_at_10(self):
+        # the moplex lemma (some moplicial vertex has a maximum neighbour or a
+        # maximum neighbouring edge) holds on every connected noncomplete
+        # chordal class with n <= 9 and fails on exactly these two at n = 10
+        # (the CI chordal-scan-10 job checks that level); each is 3-connected,
+        # and an edge that keeps tau shows it is not minimally tough:
+        # (graph6, witness edge, split)
+        residue = [("I?otZ]^Vw", (4, 6), False), ("I?qj[|^Nw", (4, 5), True)]
+        for key, edge, split in residue:
+            g = parse_graph6(key)
+            assert to_graph6(canonical_graph(g)) == key
+            assert g.is_connected() and is_chordal(g)
+            assert (toughness(g), vertex_connectivity(g)) == (Fraction(3, 2), 3)
+            assert is_minimally_tough(g) == (False, edge)
+            assert toughness(g.without_edge(*edge)) == Fraction(3, 2)
+            assert not any(maximum_neighbor(g, v) is not None
+                           or maximum_neighboring_edge(g, v) is not None
+                           for moplex in moplexes(g) for v in bits(moplex))
+            assert (is_split(g), is_strongly_chordal(g)) == (split, False)
