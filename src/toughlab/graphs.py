@@ -257,36 +257,44 @@ def simplicial_mask(g: Graph) -> int:
     return mask
 
 
-def separating_cuts(g: Graph, u: int, v: int, max_size: int,
-                    pool: int = -1) -> Iterator[tuple[int, int]]:
-    """Yield (S, far) for every S inside pool, avoiding u and v, with
-    |S| <= max_size that leaves u and v apart in (g - uv) - S, where far is
-    the vertex set of (g - uv) - S outside u's component.
+def universal_mask(g: Graph) -> int:
+    """Mask of the vertices adjacent to all others."""
+    full = g.full_mask
+    return mask_of(v for v, hood in enumerate(g.adj) if hood == full ^ 1 << v)
 
-    pool is a vertex mask, every vertex by default. Cuts come by increasing
-    size, then increasing mask. This is the walk of every edge and
-    vertex-pair search, and it ignores the edge uv: each S costs one
+
+def separating_cuts(g: Graph, u: int, v: int, max_size: int,
+                    simplicial: int = 0) -> Iterator[tuple[int, int]]:
+    """Yield (S, far) for every S avoiding u and v with |S| <= max_size that
+    leaves u and v apart in (g - uv) - S, where far is the vertex set of
+    (g - uv) - S outside u's component.
+
+    simplicial is a mask of simplicial vertices of g, none by default; S
+    holds none of them that stays simplicial in g - uv. Cuts come by
+    increasing size, then increasing mask. This is the walk of every edge
+    and vertex-pair search, and it ignores the edge uv: each S costs one
     partial search from u that never enters v and drops S once it reaches
     a neighbour of v; far is what the search did not reach, v added, and
     holds no u, so it has the same components in g as in g - uv.
 
     The common neighbours F = N(u) & N(v) are in every such S: a common
     neighbour w outside S leaves the path u-w-v in g - S. So the walk joins
-    F to the subsets of pool - F, from size |F| on, and yields nothing when
-    F is not inside pool. F is fixed and disjoint from those subsets, so
-    the cuts keep their order.
+    F to the subsets of the free vertices, all but u, v, F and simplicial,
+    from size |F| on. F is fixed and disjoint from those subsets, so the
+    cuts keep their order. A w outside {u, v} has the same N(w) in g and in
+    g - uv, a clique of g - uv exactly when it is one of g and does not hold
+    both u and v; so w is simplicial in g - uv exactly when it is in g and
+    is not in F.
     """
     if u == v:
         return
     adj, near_v = g.adj, g.adj[v]
-    pool &= g.full_mask & ~(1 << u) & ~(1 << v)
     common = adj[u] & near_v
-    if common & ~pool:
-        return
     forced = common.bit_count()
     start = g.full_mask ^ 1 << u ^ 1 << v ^ common
+    free = start & ~simplicial
     for size in range(forced, max_size + 1):
-        for s in subsets(pool ^ common, size - forced):
+        for s in subsets(free, size - forced):
             remaining = start ^ s
             frontier = 1 << u
             while frontier:

@@ -17,7 +17,7 @@ from itertools import chain, combinations
 from typing import Optional
 
 from .chordal import is_chordal, is_simple, maximal_cliques
-from .graphs import Graph, bits, components, mask_of, separates, subsets
+from .graphs import Graph, bits, components, mask_of, separates, subsets, universal_mask
 
 
 def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
@@ -173,11 +173,8 @@ def is_interval_like(g: Graph) -> bool:
 
 def universal_vertices(g: Graph) -> int:
     """Mask of vertices adjacent to all others."""
-    out = 0
-    for v in range(g.n):
-        if g.adj[v] == g.full_mask ^ 1 << v:
-            out |= 1 << v
-    return out
+    # its own function, not an alias: perfbench/tracing.py wraps recognizers by identity
+    return universal_mask(g)
 
 
 def find_induced_claw(g: Graph) -> Optional[tuple[int, int, int, int]]:

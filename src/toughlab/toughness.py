@@ -19,8 +19,10 @@ tau(G-e); ``is_minimally_tough`` states the cut that decides an edge.
 The toughness, edge and connectivity walks skip simplicial vertices (those
 whose neighbourhood is a clique; a chordal graph has them): N(w) - S lies in
 one component of G - S at most, so S - w keeps every component apart with
-one vertex less, and no smallest or minimizing cut holds w. The toughness
-and connectivity walks put every universal vertex into every cut: one left
+one vertex less, and no smallest or minimizing cut holds w. The edge walks
+pass G's simplicial mask to ``separating_cuts``, which skips the vertices
+still simplicial in G-uv. The toughness and connectivity walks put every
+universal vertex (``graphs.universal_mask``) into every cut: one left
 outside S keeps G - S connected.
 Every comparison of ratios or thresholds (a better cut, the size bound,
 >= 2t+1, >= t*(omega+1), ...) is made in integers, cross-multiplied or as
@@ -34,8 +36,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .graphs import (Graph, GraphError, bits, components, has_parts, mask_of,
-                     separating_cuts, simplicial_mask, subsets)
+from .graphs import (Graph, GraphError, bits, components, has_parts, separating_cuts,
+                     simplicial_mask, subsets, universal_mask)
 from .rational import INFINITY, ToughnessValue, is_finite
 
 
@@ -79,7 +81,7 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
     n, adj, full = g.n, g.adj, g.full_mask
     simplicial = simplicial_mask(g)
     pool = full & ~simplicial
-    universal = _universal_mask(g)
+    universal = universal_mask(g)
     forced, free, left = universal.bit_count(), pool ^ universal, full ^ universal
     best, best_size, best_parts = 0, 1, 0
     for size in range(forced, n - 1):
@@ -105,11 +107,6 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
                 break
             need = parts + 1
     return Fraction(best_size, best_parts), best
-
-
-def _universal_mask(g: Graph) -> int:
-    """Mask of the vertices adjacent to all others."""
-    return mask_of(v for v in range(g.n) if g.degree(v) == g.n - 1)
 
 
 def _independence_number(g: Graph, simplicial: int) -> int:
@@ -172,16 +169,6 @@ def is_t_tough(g: Graph, t: Fraction) -> bool:
     return True
 
 
-def _cut_pool(g: Graph, simplicial: int, u: int, v: int) -> int:
-    """The pool of a u-v cut walk without the simplicial vertices of G-uv,
-    from the mask simplicial of those of G. A w outside {u, v} has the same
-    N(w) in both, a clique of G-uv exactly when it is one of G and does not
-    hold both u and v; so w is simplicial in G-uv exactly when it is in G
-    and is not a common neighbour of u and v. When uv is not an edge, no
-    common neighbour is simplicial and the mask is the same."""
-    return ~(simplicial & ~(g.adj[u] & g.adj[v]))
-
-
 @lru_cache(maxsize=1 << 15)
 def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
                        ) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -202,8 +189,9 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
     off. Cuts are tried in increasing size and the first one settles the
     edge; S = 0 covers bridges. At size k no cut qualifies once
     k*den >= num*(n-k), since omega <= n-k, so the walk stops at the largest
-    k with k*den < num*(n-k). The walk skips the simplicial vertices of
-    G-uv (``_cut_pool``) and puts the common neighbours into every cut.
+    k with k*den < num*(n-k). The walk gets G's simplicial mask, skips the
+    simplicial vertices of G-uv and puts the common neighbours into every
+    cut (``separating_cuts``).
     u's component is one part, so ``has_parts`` tests far for
     floor(|S|*den/num) more, the fewest that qualify, and stops there.
     """
@@ -214,7 +202,7 @@ def is_minimally_tough(g: Graph, *, tau: Optional[ToughnessValue] = None
     largest = (num * g.n - 1) // (num + den)
     simplicial = simplicial_mask(g)
     for u, v in g.edges():
-        for s, far in separating_cuts(g, u, v, largest, _cut_pool(g, simplicial, u, v)):
+        for s, far in separating_cuts(g, u, v, largest, simplicial):
             if has_parts(g.adj, far, s.bit_count() * den // num):
                 break
         else:
@@ -238,7 +226,7 @@ def disjoint_path_count(g: Graph, u: int, v: int) -> int:
         raise GraphError("path count needs two distinct vertices")
     edge = g.has_edge(u, v)  # refuses a vertex outside the graph
     # V - {u, v} is such a cut, and a smallest one holds no simplicial vertex
-    cut, _ = next(separating_cuts(g, u, v, g.n - 2, _cut_pool(g, simplicial_mask(g), u, v)))
+    cut, _ = next(separating_cuts(g, u, v, g.n - 2, simplicial_mask(g)))
     return edge + cut.bit_count()
 
 
@@ -256,7 +244,7 @@ def vertex_connectivity(g: Graph) -> int:
     # a noncomplete graph has a nonadjacent pair, which V minus the pair
     # disconnects; a smallest disconnecting set holds no simplicial vertex,
     # and it holds every universal vertex
-    universal = _universal_mask(g)
+    universal = universal_mask(g)
     forced = universal.bit_count()
     rest = g.full_mask & ~simplicial_mask(g) & ~universal
     return next(size for size in range(forced, g.n - 1)

@@ -23,7 +23,6 @@ from .chordal import (
     clique_tree,
     is_chordal,
     is_minimal_separator,
-    is_moplicial,
     is_simple,
     maximum_neighbor,
     maximum_neighboring_edge,
@@ -47,7 +46,7 @@ from .graphs import (
     simplicial_mask,
     to_graph6,
 )
-from .rational import ToughnessValue, exceeds_half, is_finite
+from .rational import ToughnessValue, exceeds_half
 from .recognize import (
     find_asteroidal_triple,
     find_hole,
@@ -238,23 +237,15 @@ def _check_witness_sets(g: Graph):
             yield f"edge {edge} has no witness set"
 
 
-def _put_back(g: Graph, comps: list[int], w: int) -> list[int]:
-    """components(g, s ^ (1 << w)) from comps = components(g, s), for w in
-    s: w joins the components its neighbourhood touches into one, and the
-    list stays ordered by least vertex."""
-    near = g.adj[w]
-    joined = sum(c for c in comps if c & near) | 1 << w
-    return sorted([c for c in comps if not c & near] + [joined], key=lambda c: c & -c)
-
-
 def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     """Definitional oracle: a minimal u-v separator for some pair u, v.
 
     Separation is monotone under growing the cut, so minimality only needs
     the single-vertex deletions of s. Each component of G - S lies inside one
     component of every G - (S - w), so the least vertex of each component
-    stands for all of it. G - (S - w) is built when a pair first needs it,
-    and a pair is dropped at the first w such that S - w still separates it.
+    stands for all of it. The components of G - (S - w) come from a fresh
+    search when a pair first needs them, and a pair is dropped at the first
+    w such that S - w still separates it.
     """
     comps = components(g, s)
     if len(comps) < 2:
@@ -264,7 +255,7 @@ def _is_minimal_separator_direct(g: Graph, s: int) -> bool:
     for u, v in combinations(least, 2):
         for w in bits(s):
             if w not in deleted:
-                deleted[w] = _put_back(g, comps, w)
+                deleted[w] = components(g, s ^ 1 << w)
             if separates(deleted[w], u, v):
                 break
         else:
@@ -340,8 +331,9 @@ def _check_two_moplexes(g: Graph):
 
 def _check_simple_moplicial(g: Graph):
     """Every simple vertex belongs to a moplex."""
+    moplicial = sum(moplexes(g))  # disjoint classes of N[v], so the sum is their union
     for v in range(g.n):
-        if is_simple(g, v) and not is_moplicial(g, v):
+        if is_simple(g, v) and not moplicial >> v & 1:
             yield f"simple vertex {v} not moplicial"
 
 
@@ -364,7 +356,7 @@ def _check_restricted_separators(g: Graph):
 def _check_sufficient(g: Graph):
     """The common-neighbor hypothesis at t = tau implies not minimally tough."""
     edge = check_sufficient_condition(g, toughness(g))
-    if edge is not None and _minimally_tough_in(g, is_finite):
+    if edge is not None and is_minimally_tough(g)[0]:
         yield f"edge {edge} satisfies the hypothesis yet minimal"
 
 
@@ -408,7 +400,7 @@ def _is_star(g: Graph) -> bool:
 def _check_stars(g: Graph):
     """With a universal vertex and finite tau <= 1, minimally tough means star."""
     t = toughness(g)
-    minimal = _minimally_tough_in(g, is_finite)
+    minimal = is_minimally_tough(g)[0]
     star_shaped = _is_star(g)
     if minimal != star_shaped:
         yield f"minimally tough={minimal} but star={star_shaped}"
@@ -452,7 +444,7 @@ Suite = tuple[str, int, Callable[[Graph], bool], Callable[[Graph], Iterator[str]
 
 SUITES: dict[str, Suite] = {
     "prop_connectivity_bound": ("graph_reps", 7, _nontrivial, _check_connectivity_bound),
-    "prop_witness_sets": ("graph_reps", 6, lambda g: _minimally_tough_in(g, is_finite),
+    "prop_witness_sets": ("graph_reps", 6, lambda g: is_minimally_tough(g)[0],
                           _check_witness_sets),
     "prop_minseparator": ("graph_reps", 7, _any, _check_minseparator),
     "thm_dirac": ("graph_reps", 7, _any, _check_dirac),

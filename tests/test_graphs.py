@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toughlab import graphs
-from toughlab.families import complete, cycle, star, wheel
+from toughlab.families import FAMILIES, complete, cycle, star, wheel
 from toughlab.graphs import (
     Graph,
     Graph6Error,
@@ -31,8 +31,10 @@ from toughlab.graphs import (
     parse_graph6,
     relabel,
     separating_cuts,
+    simplicial_mask,
     subsets,
     to_graph6,
+    universal_mask,
 )
 from toughlab.graphs import _augment
 
@@ -425,14 +427,47 @@ class TestSeparatingCuts:
                                for cut in separating_cuts(g, u, v, n)), (g, u, v)
         assert built == []
 
-    def test_pool_keeps_only_the_cuts_inside_it_up_to_5(self):
-        for n in range(2, 6):
+    def test_skips_the_simplicial_vertices_of_g_minus_uv_up_to_6(self):
+        for n in range(2, 7):
             for g in graph_reps(n):
                 for u, v in combinations(range(n), 2):
-                    walk = list(separating_cuts(g, u, v, n))
-                    for pool in range(-1, 1 << n):
-                        inside = [(s, far) for s, far in walk if not s & ~pool]
-                        assert list(separating_cuts(g, u, v, n, pool)) == inside, (g, u, v, pool)
+                    assert skipping_walk(g, u, v) == skipping_oracle(g, u, v), (g, u, v)
+
+    @bounded
+    @given(graphs_with_pairs())
+    def test_skips_the_simplicial_vertices_of_g_minus_uv_up_to_12(self, case):
+        g, u, v = case
+        assert skipping_walk(g, u, v) == skipping_oracle(g, u, v)
+
+
+def skipping_walk(g, u, v):
+    return list(separating_cuts(g, u, v, g.n, simplicial_mask(g)))
+
+
+def skipping_oracle(g, u, v):
+    """The unskipped walk without the cuts that hold a simplicial vertex of
+    g - uv other than u and v, found on g - uv itself."""
+    h = g.without_edge(u, v) if g.has_edge(u, v) else g
+    skipped = simplicial_mask(h)
+    return [(s, far) for s, far in separating_cuts(g, u, v, g.n) if not s & skipped]
+
+
+class TestUniversalMask:
+    def test_matches_definition_up_to_7(self):
+        for n in range(1, 8):
+            for g in graph_reps(n):
+                assert universal_mask(g) == universal_oracle(g), g
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_definition_on_the_families(self, name):
+        for size in range(4, 12):
+            g = FAMILIES[name](size)
+            assert universal_mask(g) == universal_oracle(g), (name, size)
+
+
+def universal_oracle(g):
+    """The vertices of degree n - 1, one degree at a time."""
+    return mask_of(v for v in range(g.n) if g.degree(v) == g.n - 1)
 
 
 def canonical_key(g):

@@ -18,6 +18,7 @@ from toughlab.graphs import (
     graph_reps,
     mask_of,
     subsets,
+    universal_mask,
 )
 from toughlab.recognize import (
     find_asteroidal_triple,
@@ -289,6 +290,11 @@ class TestUniversalVertices:
 
     def test_complete_all(self):
         assert universal_vertices(complete(4)) == complete(4).full_mask
+
+    def test_is_the_graphs_rule_up_to_7(self):
+        for n in range(1, 8):
+            for g in graph_reps(n):
+                assert universal_vertices(g) == universal_mask(g), g
 
 
 class TestClaw:

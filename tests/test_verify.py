@@ -43,7 +43,6 @@ from toughlab.verify import (
     _in_range,
     _minimally_tough_in,
     _not_minimal_by_recomputation,
-    _put_back,
     _scan_worker,
     classify_counterexample,
     emit_report,
@@ -179,16 +178,6 @@ class TestRunSuite:
         flipped = {v["graph6"] for v in report["violations"]
                    if v["detail"] == "S-full test disagrees on cut mask 1"}
         assert report["graphs_checked"] == len(flipped) == 52
-
-    def test_put_back_merges_like_a_fresh_search_up_to_6(self):
-        # the separator oracle's single-vertex deletions, against the
-        # components of g - (s - w) built from scratch
-        for n in range(1, 7):
-            for g in graph_reps(n):
-                for s in range(1 << n):
-                    comps = components(g, s)
-                    for w in bits(s):
-                        assert _put_back(g, comps, w) == components(g, s ^ 1 << w), (s, w)
 
     def test_report_fields(self):
         report = run_suite("thm_dirac", 4)
