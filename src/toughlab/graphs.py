@@ -319,6 +319,23 @@ _PAIRS = [(i, j) for j in range(1, MAX_VERTICES) for i in range(j)]
 _SEXTETS = {c: bytes(c - 63 >> k & 1 for k in range(5, -1, -1)) for c in range(63, 127)}
 
 
+def _reversed_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """[j][x]: the j low bits of x in reverse order, for j below width and x
+    below 2**j, by rev_j(x) = rev_{j-1}(x >> 1) | (x & 1) << (j - 1)."""
+    table = [(0,)]
+    for j in range(1, width):
+        shorter = table[-1]
+        table.append(tuple(shorter[x >> 1] | (x & 1) << (j - 1) for x in range(1 << j)))
+    return tuple(table)
+
+
+# _REVERSED[j][x]: the graph6 column j of a row whose j low bits are x, for
+# every column of a graph that canonical labeling meets; a longer column is
+# read _PIECE bits at a time
+_REVERSED = _reversed_table(_CANONICAL_MAX)
+_PIECE = _CANONICAL_MAX - 1
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line (trailing newline tolerated)."""
     data = text.rstrip("\r\n")
@@ -364,21 +381,28 @@ def _graph6_rows(n: int, payload: bytes) -> list[int]:
 
 def to_graph6(g: Graph) -> str:
     """Encode under the current labeling in the short form, which holds
-    every graph: MAX_VERTICES is its limit."""
-    out = bytearray([g.n + 63])
-    group = 0
-    filled = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            group = group << 1 | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
-    return out.decode("ascii")
+    every graph: MAX_VERTICES is its limit.
+
+    Column j of the upper triangle, x(0, j) first, is the j low bits of row
+    j read from bit 0 up: one _REVERSED lookup per _PIECE bits, low bits
+    first. The payload bytes are the sextets of the columns joined into one
+    int and padded with zero bits."""
+    n = g.n
+    stream = 0
+    for j, row in enumerate(g.adj):
+        column, width = row & (1 << j) - 1, j
+        while width > _PIECE:
+            stream = stream << _PIECE | _REVERSED[_PIECE][column & (1 << _PIECE) - 1]
+            column >>= _PIECE
+            width -= _PIECE
+        stream = stream << width | _REVERSED[width][column]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    stream <<= pad
+    out = [n + 63]
+    for shift in range(nbits + pad - 6, -1, -6):
+        out.append((stream >> shift & 63) + 63)
+    return bytes(out).decode("ascii")
 
 
 def read_graph6_lines(source) -> Iterator[Graph]:
@@ -542,6 +566,12 @@ def relabel(g: Graph, order) -> Graph:
     order = tuple(order)
     if len(order) != n or set(order) != set(range(n)):
         raise GraphError(f"relabel order {order} is not a permutation of 0..{n - 1}")
+    return _relabel(g, order)
+
+
+def _relabel(g: Graph, order: tuple[int, ...]) -> Graph:
+    """relabel without the permutation check, for an order known to be one."""
+    n = g.n
     place = [0] * n
     for p, v in enumerate(order):
         place[v] = 1 << p
@@ -551,7 +581,7 @@ def relabel(g: Graph, order) -> Graph:
 
 def canonical_graph(g: Graph) -> Graph:
     """Canonically labeled copy: equal results exactly for isomorphic inputs."""
-    return relabel(g, _canonical_order(g))
+    return _relabel(g, _canonical_order(g))
 
 
 # ---------------------------------------------------------------------------

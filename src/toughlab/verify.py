@@ -40,6 +40,7 @@ from .graphs import (
     components,
     connected_chordal_reps,
     graph_reps,
+    has_parts,
     level_map,
     parse_graph6,
     separates,
@@ -76,7 +77,8 @@ def _any(g: Graph) -> bool:
 # that pass the filter, up to the enumerator's VERTEX_BOUNDS entry. Enumerators
 # and recognizers are looked up here when called, so patching them reaches the
 # scan. The enumerator yields only chordal graphs, so interval_like tests
-# AT-freeness alone.
+# AT-freeness alone. The filters run in the scan's workers, which receive the
+# class name: a lambda cannot be pickled.
 SCAN_CLASSES: dict[str, tuple[str, Callable[[Graph], bool]]] = {
     "chordal": ("connected_chordal_reps", _any),
     "strongly_chordal": ("connected_chordal_reps", lambda g: is_strongly_chordal(g)),
@@ -129,10 +131,20 @@ def scan_bound(class_filter: str) -> int:
     return VERTEX_BOUNDS[SCAN_CLASSES[class_filter][0]]
 
 
-def _scan_worker(g6: str) -> Optional[tuple[str, Fraction]]:
-    """(g6, tau) when the class is a hit, minimally tough with tau > 1/2."""
+def _scan_worker(class_filter: str, g6: str) -> tuple[bool, Optional[tuple[str, Fraction]]]:
+    """Whether the isomorphism class passes the scan class's filter, and
+    (g6, tau) when it is also a hit, minimally tough with tau > 1/2.
+
+    A cut vertex v settles tau <= 1/2 before the tau walk: S = {v} leaves
+    two or more components (tau <= kappa/2 at kappa = 1). A simplicial
+    vertex is never a cut vertex, since its neighbours stay adjacent."""
     g = parse_graph6(g6)
-    return (g6, toughness(g)) if _minimally_tough_in(g, exceeds_half) else None
+    if not SCAN_CLASSES[class_filter][1](g):
+        return False, None
+    full = g.full_mask
+    if any(has_parts(g.adj, full ^ 1 << v, 2) for v in bits(full & ~simplicial_mask(g))):
+        return True, None
+    return True, (g6, toughness(g)) if _minimally_tough_in(g, exceeds_half) else None
 
 
 def _in_range(tau: ToughnessValue, low: Fraction, high: Optional[Fraction]) -> bool:
@@ -174,21 +186,22 @@ def scan_conjecture(n_max: int, class_filter: str = "chordal",
     bound = scan_bound(class_filter)
     if not 1 <= n_max <= bound:
         raise GraphError(f"scan bound {n_max} outside 1..{bound} for class {class_filter}")
-    enumerator, keep = SCAN_CLASSES[class_filter]
+    enumerator = SCAN_CLASSES[class_filter][0]
+    worker = partial(_scan_worker, class_filter)
     start = time.perf_counter()
     per_n: dict[str, int] = {}
     found: list[tuple[str, Fraction]] = []
     # one pool for the whole scan, growing each enumeration level and then
-    # testing its members; a single worker stays in this process
+    # filtering and testing its classes, in the pool's default chunks (about
+    # four per worker and level); a single worker stays in this process
     workers = min(jobs, os.cpu_count() or 1)
     with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
-        scan_map = partial(pool.map, chunksize=16) if pool else map
+        scan_map = pool.map if pool else map
         with level_map(scan_map):
             for n in range(1, n_max + 1):
-                members = [g for g in globals()[enumerator](n) if keep(g)]
-                per_n[str(n)] = len(members)
-                lines = [to_graph6(g) for g in members]
-                found.extend(filter(None, scan_map(_scan_worker, lines)))
+                answers = list(scan_map(worker, map(to_graph6, globals()[enumerator](n))))
+                per_n[str(n)] = sum(kept for kept, _ in answers)
+                found.extend(hit for _, hit in answers if hit)
     elapsed = time.perf_counter() - start
     hits = [(g6, tau, *classify_counterexample(g6, tau)) for g6, tau in found]
     return {"suite": "scan_conjecture", "class_filter": class_filter, "n_max": n_max,

@@ -138,6 +138,37 @@ class TestConstruction:
                     assert g.adj[j] >> i & 1
 
 
+bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def reference_graph6(g):
+    """The writer bit by bit: x(i, j) for i < j, column j by column, six
+    bits a byte, the last byte padded with zero bits."""
+    out = bytearray([g.n + 63])
+    group = 0
+    filled = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            group = group << 1 | (g.adj[i] >> j & 1)
+            filled += 1
+            if filled == 6:
+                out.append(group + 63)
+                group = 0
+                filled = 0
+    if filled:
+        out.append((group << (6 - filled)) + 63)
+    return out.decode("ascii")
+
+
+@st.composite
+def any_short_form_graphs(draw):
+    """A graph on 1 to 62 vertices, its upper triangle drawn as one int."""
+    n = draw(st.integers(1, 62))
+    triangle = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    return from_edges(n, [p for k, p in enumerate(combinations(range(n), 2))
+                          if triangle >> k & 1])
+
+
 class TestGraph6:
     def test_decode_k3(self):
         # 'B' = 63+3, 'w' = 63 + 0b111000: bits x(0,1), x(0,2), x(1,2) all set
@@ -243,6 +274,39 @@ class TestGraph6:
                 payload = to_graph6(g)[1:].encode("ascii")
                 assert graphs._graph6_rows(n, payload) == reference_rows(n, payload) == list(g.adj)
 
+    def test_column_table_matches_its_definition(self):
+        # [j][x]: the j low bits of x read from bit 0 up, one bit at a time
+        table = graphs._REVERSED
+        assert len(table) == graphs._CANONICAL_MAX == graphs._PIECE + 1
+        for j, row in enumerate(table):
+            assert row == tuple(sum((x >> i & 1) << (j - 1 - i) for i in range(j))
+                                for x in range(1 << j))
+
+    def test_writer_matches_the_bit_loop_on_every_class_to_7(self):
+        for n in range(1, 8):
+            for g in graph_reps(n):
+                assert to_graph6(g) == reference_graph6(g)
+
+    def test_writer_matches_the_bit_loop_on_families_to_62(self):
+        # each family at every size it takes from 4 to 62 vertices, on both
+        # sides of the table's column width
+        sizes = set()
+        for build in FAMILIES.values():
+            for parameter in range(1, 63):
+                try:
+                    g = build(parameter)
+                except GraphError:
+                    continue
+                if g.n >= 4:
+                    sizes.add(g.n)
+                    assert to_graph6(g) == reference_graph6(g), (build.__name__, parameter)
+        assert sizes == set(range(4, 63))
+
+    @bounded
+    @given(any_short_form_graphs())
+    def test_writer_matches_the_bit_loop(self, g):
+        assert to_graph6(g) == reference_graph6(g)
+
     def test_line_file_round_trip(self, tmp_path):
         from toughlab.graphs import read_graph6_lines
         target = tmp_path / "all4.g6"
@@ -276,9 +340,6 @@ def components_oracle(g, removed):
         out.append(mask_of(comp))
         left = [v for v in left if v not in comp]
     return out
-
-
-bounded = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 @st.composite

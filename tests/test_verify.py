@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -248,9 +249,22 @@ class TestScan:
             tau = toughness_witness(g)[0]
             hit = is_minimally_tough.__wrapped__(g, tau=tau)[0] and exceeds_half(tau)
             g6 = to_graph6(g)
-            assert _scan_worker(g6) == ((g6, tau) if hit else None), g6
+            assert _scan_worker("all", g6) == (True, (g6, tau) if hit else None), g6
             hits += hit
         assert hits > 0  # the wheels, among the non-chordal classes
+
+    def test_cut_vertex_shortcut_keeps_every_answer(self, monkeypatch):
+        # a class with a cut vertex is settled before tau is asked, and every
+        # answer is the one of the predicate without the shortcut
+        graphs = [g for n in range(1, 8) for g in graph_reps(n) if g.is_connected()]
+        graphs += [g for n in range(1, 9) for g in connected_chordal_reps(n)]
+        expected = [_minimally_tough_in(g, exceeds_half) for g in graphs]
+        asked = set()
+        monkeypatch.setattr("toughlab.verify.toughness", lambda g: asked.add(g) or toughness(g))
+        assert [_scan_worker("all", to_graph6(g))[1] is not None for g in graphs] == expected
+        cut = {g for g in graphs if any(len(components(g, 1 << v)) > 1 for v in range(g.n))}
+        assert cut and not cut & asked
+        assert sum(expected) > 0
 
     def test_worker_runs_the_edge_test_only_above_half(self, monkeypatch):
         # tau is read first: only the classes with tau > 1/2 reach the edge test
@@ -263,7 +277,7 @@ class TestScan:
         monkeypatch.setattr("toughlab.verify.is_minimally_tough", counted)
         graphs = [g for n in range(1, 9) for g in connected_chordal_reps(n)]
         for g in graphs:
-            _scan_worker(to_graph6(g))
+            _scan_worker("chordal", to_graph6(g))
         assert len(calls) == sum(exceeds_half(toughness(g)) for g in graphs) > 0
         calls.clear()
         assert not _minimally_tough_in(star(3), exceeds_half) and calls == []
@@ -283,11 +297,13 @@ class TestScan:
         assert serial == parallel
 
     def test_pooled_chordal_scan_matches_serial_at_8(self):
-        serial = scan_conjecture(8, "chordal", jobs=1)[0]
-        connected_chordal_reps.cache_clear()  # so the pool grows every level again
-        parallel = scan_conjecture(8, "chordal", jobs=2)[0]
-        del serial["elapsed_s"], parallel["elapsed_s"]
-        assert serial == parallel
+        # the chordal class and the three whose filter runs in the workers
+        for class_filter in ("chordal", "strongly_chordal", "split", "interval_like"):
+            serial = scan_conjecture(8, class_filter, jobs=1)[0]
+            connected_chordal_reps.cache_clear()  # so the pool grows every level again
+            parallel = scan_conjecture(8, class_filter, jobs=2)[0]
+            del serial["elapsed_s"], parallel["elapsed_s"]
+            assert serial == parallel, class_filter
 
     def test_workers_survive_a_spawned_pool(self):
         # spawn pickles each worker by module path and starts from a fresh
@@ -298,9 +314,9 @@ class TestScan:
         with multiprocessing.get_context("spawn").Pool(2) as pool:
             with level_map(pool.map):
                 assert [reps.__wrapped__(n) for reps, n in levels] == serial
-            hits = pool.map(_scan_worker, lines)
-        assert hits == list(map(_scan_worker, lines))
-        assert (to_graph6(canonical_graph(wheel(5))), Fraction(3, 2)) in hits
+            answers = pool.map(partial(_scan_worker, "all"), lines)
+        assert answers == [_scan_worker("all", line) for line in lines]
+        assert (True, (to_graph6(canonical_graph(wheel(5))), Fraction(3, 2))) in answers
 
     @pytest.mark.parametrize("jobs, cpus, sizes", [
         (1, 8, []), (2, 8, [2]), (100000, 8, [8]), (2, 1, [])])
