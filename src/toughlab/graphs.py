@@ -319,21 +319,9 @@ _PAIRS = [(i, j) for j in range(1, MAX_VERTICES) for i in range(j)]
 _SEXTETS = {c: bytes(c - 63 >> k & 1 for k in range(5, -1, -1)) for c in range(63, 127)}
 
 
-def _reversed_table(width: int) -> tuple[tuple[int, ...], ...]:
-    """[j][x]: the j low bits of x in reverse order, for j below width and x
-    below 2**j, by rev_j(x) = rev_{j-1}(x >> 1) | (x & 1) << (j - 1)."""
-    table = [(0,)]
-    for j in range(1, width):
-        shorter = table[-1]
-        table.append(tuple(shorter[x >> 1] | (x & 1) << (j - 1) for x in range(1 << j)))
-    return tuple(table)
-
-
-# _REVERSED[j][x]: the graph6 column j of a row whose j low bits are x, for
-# every column of a graph that canonical labeling meets; a longer column is
-# read _PIECE bits at a time
-_REVERSED = _reversed_table(_CANONICAL_MAX)
-_PIECE = _CANONICAL_MAX - 1
+# _REVERSED[x]: the 10 low bits of x in reverse order, for x below 2**10; the
+# j low bits reversed, j <= 10, are _REVERSED[x] >> (10 - j) for x below 2**j
+_REVERSED = tuple(int(f"{x:010b}"[::-1], 2) for x in range(1 << 10))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -384,18 +372,18 @@ def to_graph6(g: Graph) -> str:
     every graph: MAX_VERTICES is its limit.
 
     Column j of the upper triangle, x(0, j) first, is the j low bits of row
-    j read from bit 0 up: one _REVERSED lookup per _PIECE bits, low bits
-    first. The payload bytes are the sextets of the columns joined into one
-    int and padded with zero bits."""
+    j read from bit 0 up: one _REVERSED lookup per 10 bits, low bits first.
+    The payload bytes are the sextets of the columns joined into one int and
+    padded with zero bits."""
     n = g.n
     stream = 0
     for j, row in enumerate(g.adj):
         column, width = row & (1 << j) - 1, j
-        while width > _PIECE:
-            stream = stream << _PIECE | _REVERSED[_PIECE][column & (1 << _PIECE) - 1]
-            column >>= _PIECE
-            width -= _PIECE
-        stream = stream << width | _REVERSED[width][column]
+        while width > 10:
+            stream = stream << 10 | _REVERSED[column & 1023]
+            column >>= 10
+            width -= 10
+        stream = stream << width | _REVERSED[column] >> 10 - width
     nbits = n * (n - 1) // 2
     pad = -nbits % 6
     stream <<= pad
@@ -421,7 +409,7 @@ def read_graph6_lines(source) -> Iterator[Graph]:
 # candidates collapse twin vertices (pairs whose swap is an automorphism),
 # which keeps complete and complete-multipartite graphs from exploding. The
 # refinement is pruning only; correctness rests on exploring every
-# non-equivalent completion and taking the least key.
+# non-equivalent completion and taking the least graph6 string.
 # ---------------------------------------------------------------------------
 
 def _member_table(width: int) -> tuple[tuple[int, ...], ...]:
@@ -506,8 +494,10 @@ def _refine(neighbors, cells: list[list[int]], color: list[int],
                 color[v] = c
 
 
-def _canonical_order(g: Graph) -> tuple[int, ...]:
-    """Vertex order whose induced adjacency key is minimal over the search."""
+def canonical_graph(g: Graph) -> Graph:
+    """Canonically labeled copy: equal results exactly for isomorphic inputs.
+    It is g relabeled by the search leaf, a vertex order, under which g has
+    the least graph6 string."""
     if g.n > _CANONICAL_MAX:
         raise GraphError(f"canonical labeling limited to {_CANONICAL_MAX} vertices")
     n = g.n
@@ -544,44 +534,23 @@ def _canonical_order(g: Graph) -> tuple[int, ...]:
             shifted[v] = t + 1
             descend(_refine(neighbors, branch, shifted, powers), shifted)
 
-    def leaf_key(order):
-        # column j (the j vertices before order[j]) takes j bits, so the int
-        # orders leaves as the tuple of columns would
-        key = 0
-        for j in range(1, n):
-            vj = order[j]
-            for i in range(j):
-                key = key << 1 | (adj[order[i]] >> vj & 1)
-        return key
-
     descend(_refine(neighbors, cells, color, powers), color)
-    # the first leaf of least key: min keeps the first of equal keys
-    return leaves[0] if len(leaves) == 1 else min(leaves, key=leaf_key)
+    if len(leaves) == 1:
+        return relabel(g, leaves[0])
+    # graph6 strings on n vertices have one length, and each payload byte is
+    # a 6-bit value plus 63, so they compare as the column bit streams do
+    return min((relabel(g, order) for order in leaves), key=to_graph6)
 
 
 def relabel(g: Graph, order) -> Graph:
-    """Graph with original vertex order[p] placed at position p; order must
-    be a permutation of 0..n-1."""
-    n = g.n
-    order = tuple(order)
-    if len(order) != n or set(order) != set(range(n)):
-        raise GraphError(f"relabel order {order} is not a permutation of 0..{n - 1}")
-    return _relabel(g, order)
-
-
-def _relabel(g: Graph, order: tuple[int, ...]) -> Graph:
-    """relabel without the permutation check, for an order known to be one."""
+    """Graph with original vertex order[p] placed at position p. order must
+    be a permutation of 0..n-1; that is not checked."""
     n = g.n
     place = [0] * n
     for p, v in enumerate(order):
         place[v] = 1 << p
     members = _MEMBERS.__getitem__ if n <= _CANONICAL_MAX else bits
     return Graph._unchecked(n, [sum(map(place.__getitem__, members(g.adj[v]))) for v in order])
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """Canonically labeled copy: equal results exactly for isomorphic inputs."""
-    return _relabel(g, _canonical_order(g))
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,12 @@ def toughness_witness(g: Graph) -> tuple[ToughnessValue, Optional[int]]:
     No cap grows faster than k: n - k falls, alpha is fixed, and the
     (k+1)-st largest degree is at most the mean of the k before it. So
     k/cap never falls, and a size whose cap cannot win ends the walk."""
-    if g.is_complete():
-        return INFINITY, None
     n, adj, full = g.n, g.adj, g.full_mask
+    universal = universal_mask(g)
+    if universal == full:  # complete
+        return INFINITY, None
     simplicial = simplicial_mask(g)
     pool = full & ~simplicial
-    universal = universal_mask(g)
     forced, free, left = universal.bit_count(), pool ^ universal, full ^ universal
     best, best_size, best_parts = 0, 1, 0
     for size in range(forced, n - 1):
@@ -239,12 +239,12 @@ def vertex_connectivity(g: Graph) -> int:
     every cut, since one outside S keeps G - S connected, so the walk joins
     them to the subsets of the rest.
     """
-    if g.is_complete():
+    universal = universal_mask(g)
+    if universal == g.full_mask:  # complete
         return g.n - 1
     # a noncomplete graph has a nonadjacent pair, which V minus the pair
     # disconnects; a smallest disconnecting set holds no simplicial vertex,
     # and it holds every universal vertex
-    universal = universal_mask(g)
     forced = universal.bit_count()
     rest = g.full_mask & ~simplicial_mask(g) & ~universal
     return next(size for size in range(forced, g.n - 1)

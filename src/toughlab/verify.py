@@ -136,13 +136,12 @@ def _scan_worker(class_filter: str, g6: str) -> tuple[bool, Optional[tuple[str, 
     (g6, tau) when it is also a hit, minimally tough with tau > 1/2.
 
     A cut vertex v settles tau <= 1/2 before the tau walk: S = {v} leaves
-    two or more components (tau <= kappa/2 at kappa = 1). A simplicial
-    vertex is never a cut vertex, since its neighbours stay adjacent."""
+    two or more components (tau <= kappa/2 at kappa = 1)."""
     g = parse_graph6(g6)
     if not SCAN_CLASSES[class_filter][1](g):
         return False, None
     full = g.full_mask
-    if any(has_parts(g.adj, full ^ 1 << v, 2) for v in bits(full & ~simplicial_mask(g))):
+    if any(has_parts(g.adj, full ^ 1 << v, 2) for v in range(g.n)):
         return True, None
     return True, (g6, toughness(g)) if _minimally_tough_in(g, exceeds_half) else None
 

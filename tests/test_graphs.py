@@ -275,12 +275,15 @@ class TestGraph6:
                 assert graphs._graph6_rows(n, payload) == reference_rows(n, payload) == list(g.adj)
 
     def test_column_table_matches_its_definition(self):
-        # [j][x]: the j low bits of x read from bit 0 up, one bit at a time
+        # rev_j(x): the j low bits of x read from bit 0 up, one bit at a time
+        def rev(j, x):
+            return sum((x >> i & 1) << (j - 1 - i) for i in range(j))
+
         table = graphs._REVERSED
-        assert len(table) == graphs._CANONICAL_MAX == graphs._PIECE + 1
-        for j, row in enumerate(table):
-            assert row == tuple(sum((x >> i & 1) << (j - 1 - i) for i in range(j))
-                                for x in range(1 << j))
+        assert table == tuple(rev(10, x) for x in range(1 << 10))
+        for j in range(11):
+            assert [table[x] >> (10 - j) for x in range(1 << j)] == [
+                rev(j, x) for x in range(1 << j)]
 
     def test_writer_matches_the_bit_loop_on_every_class_to_7(self):
         for n in range(1, 8):
@@ -562,13 +565,6 @@ class TestCanonical:
             order = list(range(g.n))
             rng.shuffle(order)
             assert canonical_key(relabel(g, order)) == canonical_key(g)
-
-    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1), (-1, 0, 1), (0, 1, 3)])
-    def test_relabel_refuses_a_non_permutation(self, order):
-        # a repeat, a short order, a negative index that would wrap around,
-        # and an index past the end
-        with pytest.raises(GraphError, match="not a permutation"):
-            relabel(from_edges(3, [(0, 1), (1, 2)]), order)
 
     @pytest.mark.parametrize("g, calls", [
         (complete(11), 11), (star(10), 10), (complete_multipartite(5, 6), 10),

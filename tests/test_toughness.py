@@ -891,6 +891,21 @@ class TestForcedVertices:
         assert toughness_witness(g) == unpruned_toughness_witness(g)
         assert is_minimally_tough(g) == recomputed_minimality(g)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_complete_and_one_edge_short_match_all_masks(self, n):
+        # G is complete exactly when every vertex is universal; K_n - e,
+        # n >= 3, is noncomplete with n - 2 universal vertices
+        for g in [complete(n)] + ([complete(n).without_edge(0, 1)] if n >= 3 else []):
+            masks = sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
+            cuts = [(s, parts) for s in masks if (parts := len(components(g, s))) >= 2]
+            if cuts:
+                # min keeps the first of the least ratios: least size, then mask
+                cut, parts = min(cuts, key=lambda c: Fraction(c[0].bit_count(), c[1]))
+                expected = (Fraction(cut.bit_count(), parts), cut), cuts[0][0].bit_count()
+            else:
+                expected = (INFINITY, None), n - 1
+            assert (toughness_witness(g), vertex_connectivity(g)) == expected, to_graph6(g)
+
     @bounded
     @given(cones())
     def test_cone_witness_matches_unpruned_walk(self, g):
