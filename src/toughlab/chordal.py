@@ -113,8 +113,9 @@ def clique_tree(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
 
 def validate_clique_tree(
         g: Graph, tree: tuple[tuple[int, ...], tuple[tuple[int, int], ...]]) -> None:
-    """Raise GraphError unless tree, a (cliques, tree_edges) pair, is a
-    valid clique tree of g."""
+    """The check for a clique tree built outside this module: raise
+    GraphError unless tree, a (cliques, tree_edges) pair, is a valid clique
+    tree of g. clique_tree's own output is not passed through it."""
     cliques, tree_edges = tree
     if sorted(cliques) != maximal_cliques(g):
         raise GraphError("clique tree nodes are not exactly the maximal cliques")
@@ -202,11 +203,10 @@ def minimal_separators(g: Graph) -> list[int]:
     return sorted(found)
 
 
-def minimal_separators_via_clique_tree(
-        g: Graph, tree: tuple[tuple[int, ...], tuple[tuple[int, int], ...]]) -> list[int]:
-    """Intersections of adjacent clique-tree nodes, deduplicated and sorted."""
-    validate_clique_tree(g, tree)
-    cliques, tree_edges = tree
+def minimal_separators_via_clique_tree(g: Graph) -> list[int]:
+    """Intersections of adjacent nodes of clique_tree(g), deduplicated and
+    sorted; clique_tree refuses a g that is not connected and chordal."""
+    cliques, tree_edges = clique_tree(g)
     return sorted({cliques[i] & cliques[j] for i, j in tree_edges})
 
 

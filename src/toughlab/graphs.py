@@ -101,8 +101,8 @@ class Graph:
     @classmethod
     def _unchecked(cls, n: int, rows) -> "Graph":
         """Graph from rows that keep every invariant __init__ checks (rows
-        derived from a validated graph, or decoded from graph6), so none is
-        checked again."""
+        derived from a validated graph, decoded from graph6, or built by
+        from_edges from checked pairs), so none is checked again."""
         g = object.__new__(cls)
         g.n = n
         g.adj = tuple(rows)
@@ -162,7 +162,8 @@ class Graph:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Build a graph from an edge list; duplicate pairs collapse."""
+    """Build a graph from an edge list; duplicate pairs collapse. Each pair
+    is checked as it sets both rows, so the rows are not checked again."""
     if not 1 <= n <= MAX_VERTICES:
         raise GraphError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     rows = [0] * n
@@ -173,7 +174,7 @@ def from_edges(n: int, edges) -> Graph:
             raise GraphError(f"self-loop ({u}, {v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._unchecked(n, rows)
 
 
 def components(g: Graph, removed: int = 0) -> list[int]:
@@ -550,7 +551,8 @@ def relabel(g: Graph, order) -> Graph:
     for p, v in enumerate(order):
         place[v] = 1 << p
     members = _MEMBERS.__getitem__ if n <= _CANONICAL_MAX else bits
-    return Graph._unchecked(n, [sum(map(place.__getitem__, members(g.adj[v]))) for v in order])
+    adj, at = g.adj, place.__getitem__
+    return Graph._unchecked(n, [sum(map(at, members(adj[v]))) for v in order])
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,12 @@ from functools import total_ordering
 class ToughnessInfinity:
     """Toughness of complete graphs; compares strictly above every fraction.
 
-    The one instance is INFINITY: pickle and copy rebuild it through __new__,
-    so equality and hashing by identity are exact.
+    The one instance is INFINITY: pickle and copy return it by name, so
+    equality and hashing by identity are exact.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        return "INFINITY"
 
     def __repr__(self):
         return "INFINITY"

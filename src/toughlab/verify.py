@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .chordal import (
-    clique_tree,
     is_chordal,
     is_minimal_separator,
     is_simple,
@@ -330,7 +329,7 @@ def _check_dirac(g: Graph):
 
 def _check_cliquetree_separators(g: Graph):
     """Clique-tree edge intersections equal the brute-force minimal separators."""
-    if minimal_separators_via_clique_tree(g, clique_tree(g)) != _minimal_separators_brute(g):
+    if minimal_separators_via_clique_tree(g) != _minimal_separators_brute(g):
         yield "separator sets differ"
 
 

@@ -151,8 +151,8 @@ class TestCliqueTree:
         with pytest.raises(GraphError):
             clique_tree(from_edges(4, [(0, 1), (2, 3)]))
 
-    def test_invariants_on_all_connected_chordal_up_to_7(self):
-        for g in connected_chordal_reps(7):
+    def test_invariants_on_all_connected_chordal_up_to_8(self):
+        for g in _chordal_through(8):
             validate_clique_tree(g, clique_tree(g))
 
     def test_validator_rejects_bad_tree(self):
@@ -269,22 +269,22 @@ class TestMinimalSeparators:
         assert built == []
 
     def test_via_clique_tree_p4(self):
-        tree = clique_tree(P4)
-        assert minimal_separators_via_clique_tree(P4, tree) == [mask_of([1]), mask_of([2])]
+        assert minimal_separators_via_clique_tree(P4) == [mask_of([1]), mask_of([2])]
 
     def test_via_clique_tree_star(self):
-        tree = clique_tree(STAR3)
-        assert minimal_separators_via_clique_tree(STAR3, tree) == [mask_of([0])]
+        assert minimal_separators_via_clique_tree(STAR3) == [mask_of([0])]
 
-    def test_routes_agree_up_to_7(self):
-        for g in connected_chordal_reps(7):
-            tree = clique_tree(g)
-            assert minimal_separators_via_clique_tree(g, tree) == minimal_separators(g)
+    def test_routes_agree_up_to_8(self):
+        for g in _chordal_through(8):
+            assert minimal_separators_via_clique_tree(g) == minimal_separators(g)
 
-    def test_via_tree_rejects_invalid_tree(self):
-        tree = clique_tree(P4)
-        with pytest.raises(GraphError):
-            minimal_separators_via_clique_tree(C4, tree)
+    def test_via_clique_tree_refuses_what_clique_tree_refuses(self):
+        for g, message in ((C4, "clique tree requires a chordal graph"),
+                           (from_edges(4, [(0, 1), (2, 3)]),
+                            "clique tree requires a connected graph")):
+            with pytest.raises(GraphError) as caught:
+                minimal_separators_via_clique_tree(g)
+            assert str(caught.value) == message
 
     def test_dirac_on_small_graphs(self):
         for g in graph_reps(6):

@@ -73,6 +73,32 @@ def complete_multipartite(*sizes):
                                   if part[u] != part[v]])
 
 
+def family_members():
+    """(family name, parameter, graph) for each family at every size it
+    takes from 4 to 62 vertices."""
+    members = []
+    for build in FAMILIES.values():
+        for parameter in range(1, 63):
+            try:
+                g = build(parameter)
+            except GraphError:
+                continue
+            if g.n >= 4:
+                members.append((build.__name__, parameter, g))
+    return members
+
+
+FAMILY_MEMBERS = family_members()
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count from 1 to 62 and a list of loop-free pairs over it."""
+    n = draw(st.integers(1, 62))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])))
+
+
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -119,6 +145,22 @@ class TestConstruction:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
+
+    def test_from_edges_rows_pass_the_checked_constructor(self):
+        # from_edges builds its graph unchecked; the checked constructor
+        # must still accept every family member's rows
+        for name, parameter, g in FAMILY_MEMBERS:
+            assert Graph(g.n, g.adj) == g, (name, parameter)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(edge_lists())
+    def test_from_edges_rows_pass_the_checked_constructor_on_edge_lists(self, case):
+        # every other pair is sent reversed too, and every third one twice;
+        # the rest appear once, so a row that from_edges forgets shows
+        n, pairs = case
+        g = from_edges(n, pairs + [(v, u) for u, v in pairs[::2]] + pairs[::3])
+        assert Graph(g.n, g.adj) == g
+        assert set(g.edges()) == {(min(u, v), max(u, v)) for u, v in pairs}
 
     def test_rejects_high_bits(self):
         with pytest.raises(GraphError):
@@ -291,19 +333,10 @@ class TestGraph6:
                 assert to_graph6(g) == reference_graph6(g)
 
     def test_writer_matches_the_bit_loop_on_families_to_62(self):
-        # each family at every size it takes from 4 to 62 vertices, on both
-        # sides of the table's column width
-        sizes = set()
-        for build in FAMILIES.values():
-            for parameter in range(1, 63):
-                try:
-                    g = build(parameter)
-                except GraphError:
-                    continue
-                if g.n >= 4:
-                    sizes.add(g.n)
-                    assert to_graph6(g) == reference_graph6(g), (build.__name__, parameter)
-        assert sizes == set(range(4, 63))
+        # on both sides of the table's column width
+        for name, parameter, g in FAMILY_MEMBERS:
+            assert to_graph6(g) == reference_graph6(g), (name, parameter)
+        assert {g.n for _, _, g in FAMILY_MEMBERS} == set(range(4, 63))
 
     @bounded
     @given(any_short_form_graphs())

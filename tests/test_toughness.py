@@ -612,6 +612,9 @@ class TestExactArithmetic:
         import pickle
         assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
         assert copy.deepcopy(INFINITY) is INFINITY
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY, protocol
+        assert copy.copy(INFINITY) is INFINITY
         assert INFINITY == INFINITY and not INFINITY != INFINITY
         assert INFINITY != Fraction(5) and Fraction(5) != INFINITY
         assert not INFINITY == Fraction(5) and not Fraction(5) == INFINITY

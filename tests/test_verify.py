@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from toughlab import verify
-from toughlab.chordal import (clique_tree, is_chordal, is_minimal_separator,
+from toughlab.chordal import (is_chordal, is_minimal_separator,
                               maximum_neighbor, maximum_neighboring_edge,
                               minimal_separators_via_clique_tree, moplexes)
 from toughlab.cli import EXIT_OK, main
@@ -479,7 +479,7 @@ class TestExhaustiveData:
                 t = toughness(g)
                 noncritical = [(u, v) for u, v in g.edges()
                                if toughness(g.without_edge(u, v)) == t]
-                separators = minimal_separators_via_clique_tree(g, clique_tree(g))
+                separators = minimal_separators_via_clique_tree(g)
                 assert any((s >> u) & (s >> v) & 1 for u, v in noncritical
                            for s in separators), to_graph6(g)
                 sizes.append(len(noncritical))
